@@ -9,7 +9,8 @@
 #                             localhost-TCP workers), serve smoke (real server
 #                             + driver + SIGTERM drain), replay smoke (offline
 #                             panel over the serve log + logging-identity pin
-#                             + sharded 2-worker panel), metrics identity
+#                             + sharded 2-worker panel, also with a
+#                             SIGKILLed worker), metrics identity
 #                             (event logs and decision dumps byte-identical
 #                             with metrics enabled, polled, and compiled out).
 #        ./ci.sh asan       — ASan/UBSan build + test suite only. The release
@@ -233,8 +234,9 @@ metrics_identity() {
 # policy. Asserts (a) the logging-identity line — the IPS estimate of the
 # logging policy equals the log's empirical mean bitwise, or ncb_replay
 # exits 1; (b) the panel JSON carries the schema header and estimator
-# fields; (c) a second run is byte-identical; (d) a truncated copy of the
-# log makes --inspect-log exit nonzero and say so.
+# fields; (c) a second run, a 2-worker sharded run and a 2-worker run with
+# one worker SIGKILLed mid-candidate are all byte-identical; (d) a
+# truncated copy of the log makes --inspect-log exit nonzero and say so.
 replay_smoke() {
   local log=build/serve_smoke.ncbl
   if [ ! -f "$log" ]; then
@@ -265,6 +267,17 @@ replay_smoke() {
   grep -q 'logging identity OK' build/replay_smoke_dist.out
   cmp build/replay_smoke.json build/replay_smoke_dist.json
   echo "replay smoke: sharded panel (2 workers) byte-identical to single-process"
+  # Crash requeue: the worker assigned dfl-sso SIGKILLs itself on attempt 1;
+  # the requeued candidate must reassemble to the same bytes.
+  NCB_REPLAY_KILL_SPEC=dfl-sso ./build/examples/ncb_replay --log "$log" \
+      --logging-policy 'eps-greedy:eps=0' --policies 'ucb1;dfl-sso' \
+      --arms 200 --graph er --edge-prob 0.1 --seed 7 --epsilon 0.1 \
+      --workers 2 --out build/replay_smoke_kill.json \
+      | tee build/replay_smoke_kill.out
+  # The injection must actually have fired (guards against spec drift).
+  grep -q 'requeued 1 candidates' build/replay_smoke_kill.out
+  cmp build/replay_smoke.json build/replay_smoke_kill.json
+  echo "replay smoke: sharded panel with a SIGKILLed worker byte-identical"
   # Chop the tail mid-record: inspect must refuse to call the log intact.
   local size
   size=$(stat -c %s "$log")

@@ -310,16 +310,16 @@ int main(int argc, char** argv) {
       // this binary, or TCP peers dialing a --listen socket — and stream
       // their deterministic record lines into the same checkpoint file.
       dist::CoordinatorOptions dist_options;
-      std::unique_ptr<net::TcpServerTransport> tcp;
+      std::unique_ptr<net::StreamTransport> transport;
       if (!listen_text.empty()) {
-        tcp = std::make_unique<net::TcpServerTransport>(listen_address);
-        dist_options.transport = tcp.get();
+        auto tcp = std::make_unique<net::TcpServerTransport>(listen_address);
         const std::string bound = net::format_host_port(tcp->bound());
         std::cout << "sweep '" << spec.name << "': " << jobs.size()
                   << " jobs, listening on " << bound
                   << " (start workers with --worker-connect " << bound
                   << ")\n";
         if (!port_file.empty()) write_file(port_file, bound + "\n");
+        transport = std::move(tcp);
       } else {
         const std::size_t hardware =
             std::max(1u, std::thread::hardware_concurrency());
@@ -329,13 +329,15 @@ int main(int argc, char** argv) {
                 : std::max<std::size_t>(
                       1, hardware / static_cast<std::size_t>(workers));
         dist_options.workers = static_cast<std::size_t>(workers);
-        dist_options.worker_command = {dist::self_exe_path(args.program()),
-                                       "--threads",
-                                       std::to_string(per_worker)};
+        transport = std::make_unique<net::ProcessTransport>(
+            std::vector<std::string>{dist::self_exe_path(args.program()),
+                                     "--threads",
+                                     std::to_string(per_worker)});
         std::cout << "sweep '" << spec.name << "': " << jobs.size()
                   << " jobs, " << workers << " workers x " << per_worker
                   << " threads\n";
       }
+      dist_options.transport = transport.get();
       dist_options.checkpoints = spec.checkpoints;
       dist_options.shard_size = static_cast<std::size_t>(shard_size) != 0
                                     ? static_cast<std::size_t>(shard_size)

@@ -1,23 +1,7 @@
-// The coordinator end of the dispatch protocol: expand-once, pull-based
-// job dispatch over a fleet of workers, with crash requeue. Workers arrive
-// through a net::StreamTransport — forked local processes or TCP peers
-// dialing in from other machines — and the coordinator treats both
-// identically once admitted (see net/worker_pool.hpp).
-//
-// Dispatch is demand-driven (the idle worker gets the next job), so fast
-// workers naturally take more of the grid — work stealing without a shared
-// queue. Jobs are handed out largest-first (by replications × horizon, the
-// --dry-run slot estimate): on a heterogeneous fleet the long poles start
-// early and the stragglers at the end are cheap, shortening the makespan.
-// Determinism is never entrusted to scheduling: every job's replications
-// derive counter-based seeds from the job's own spec coordinates, so a job
-// computes the same bytes on any worker and any attempt, and the caller
-// merges record lines in canonical expansion order — dispatch order, like
-// completion order, never shows in the output. A worker lost mid-job
-// (crash, SIGKILL, dropped connection) has its job requeued at the front
-// with its original seed counter; on a spawning transport a replacement
-// process is started — the merged output is byte-identical to an
-// undisturbed run.
+// Sweep dispatch: a thin adapter that runs a sweep's jobs, largest-first
+// by their --dry-run slot estimate, on the task farm (net/task_farm.hpp,
+// which describes the scheduling, the crash requeue, and why neither ever
+// shows in the merged output).
 #pragma once
 
 #include <functional>
@@ -27,7 +11,7 @@
 #include <vector>
 
 #include "exp/sweep_spec.hpp"
-#include "net/worker_pool.hpp"
+#include "net/task_farm.hpp"
 #include "util/running_stat.hpp"
 
 namespace ncb::dist {
@@ -48,14 +32,8 @@ struct CoordinatorOptions {
   /// Worker process count (capped at the eligible job count). Ignored on
   /// an accept-based transport, where the fleet is whoever connects.
   std::size_t workers = 2;
-  /// argv to exec for each worker; spawn_worker appends `--worker-fd <n>`.
-  /// Ignored when `transport` is set.
-  std::vector<std::string> worker_command;
-  /// Where worker streams come from. Null → an internal ProcessTransport
-  /// built from `worker_command` (the single-machine fork/exec path).
-  /// The byte-identical-output guarantee holds across transports: jobs
-  /// derive counter-based seeds from their spec coordinates and results
-  /// merge in canonical expansion order, so WHERE a job ran never shows.
+  /// Where worker streams come from (required): a net::ProcessTransport
+  /// for local worker processes, a net::TcpServerTransport for remote ones.
   net::StreamTransport* transport = nullptr;
   /// Per-job checkpoint count (SweepSpec::checkpoints).
   std::size_t checkpoints = 30;
@@ -63,9 +41,6 @@ struct CoordinatorOptions {
   std::size_t shard_size = 0;
   /// Dispatch at most this many jobs (0 = all); the rest report pending.
   std::size_t max_jobs = 0;
-  /// A job that crashes its worker this many times aborts the sweep —
-  /// the crash is then the job's fault, not a lost worker's.
-  std::size_t max_attempts = 3;
   /// Streaming callback in completion order (NOT expansion order — merge
   /// deterministically from `results` afterwards).
   std::function<void(const DistJobResult&)> on_result;
@@ -88,7 +63,7 @@ struct DistSweepSummary {
 
 /// Runs `jobs` minus `skip_keys` across worker processes and collects one
 /// record line per job. Throws std::runtime_error when a worker reports a
-/// job error, a job exhausts max_attempts, or the fleet dies during
+/// job error, a job exhausts net::kMaxAttempts, or the fleet dies during
 /// handshake; workers are killed and reaped before the throw.
 [[nodiscard]] DistSweepSummary run_distributed_sweep(
     const std::vector<exp::SweepJob>& jobs, const CoordinatorOptions& options,

@@ -97,6 +97,16 @@ std::string WireReader::get_string() {
   return out;
 }
 
+void WireReader::check_count(std::uint64_t count, std::size_t min_item_bytes,
+                             const char* what) const {
+  if (count > remaining() / min_item_bytes) {
+    throw std::invalid_argument("wire: " + std::string(what) + " count " +
+                                std::to_string(count) + " exceeds the " +
+                                std::to_string(remaining()) +
+                                " bytes left in the payload");
+  }
+}
+
 void WireReader::finish() const {
   if (at_ != payload_.size()) {
     throw std::invalid_argument("wire: trailing bytes after message");
@@ -375,6 +385,8 @@ StatsReplyMsg decode_stats_reply(const std::string& payload) {
   WireReader in(payload);
   StatsReplyMsg msg;
   const std::uint32_t count = in.get_u32();
+  // kind u8 + name length u32 + value u64 per entry, at the least.
+  in.check_count(count, 13, "stats entry");
   msg.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     StatsEntry entry;

@@ -115,6 +115,15 @@ class WireReader {
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] double get_double();
   [[nodiscard]] std::string get_string();
+  /// Bytes not yet read.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return payload_.size() - at_;
+  }
+  /// Throws unless `count` items of at least `min_item_bytes` each fit in
+  /// the unread payload — call before reserving storage for a count read
+  /// off the wire, so a corrupt count is rejected, not allocated.
+  void check_count(std::uint64_t count, std::size_t min_item_bytes,
+                   const char* what) const;
   /// Throws when decoded messages leave unread payload behind.
   void finish() const;
 

@@ -6,8 +6,8 @@
 // requeued. WorkerPool owns everything in between — spawning or accepting
 // peers via a StreamTransport, the handshake-gated admission state machine
 // (Hello → WorkerInfo → HelloAck), per-worker byte accounting, and
-// releasing peers on loss or shutdown — so the two coordinators share one
-// tested lifecycle instead of two poll loops.
+// releasing peers on loss or shutdown. Its one client is the task farm
+// (net/task_farm.hpp), which layers the scheduling on top.
 //
 // Admission is gated on a complete handshake: a connecting peer is not a
 // worker until its Hello validates (magic, protocol version, application
@@ -32,10 +32,9 @@
 
 namespace ncb::net {
 
-/// One peer the pool is tracking. Coordinators stash their scheduling
-/// state in `user_tag` (an index into their own job table; -1 = idle) —
-/// the pool never interprets it beyond "idle or not" for clean-release
-/// accounting.
+/// One peer the pool is tracking. The task farm stashes its scheduling
+/// state in `user_tag` (the task in flight; -1 = idle) — the pool never
+/// interprets it beyond "idle or not" for clean-release accounting.
 struct PoolWorker {
   Peer peer;
   dist::FrameDecoder decoder;

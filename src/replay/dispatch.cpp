@@ -2,10 +2,7 @@
 
 #include <signal.h>
 
-#include <algorithm>
 #include <cstdlib>
-#include <deque>
-#include <iostream>
 #include <optional>
 #include <stdexcept>
 
@@ -13,7 +10,6 @@
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "exp/sweep_spec.hpp"
-#include "obs/metrics.hpp"
 
 namespace ncb::replay {
 
@@ -28,6 +24,8 @@ using dist::WireWriter;
 /// frame cap with room for the longest plausible key; small enough that a
 /// slow link shows steady progress instead of one giant stall.
 constexpr std::size_t kChunkBytes = 1u << 20;
+/// Smallest encoded event record: a feedback (u8 type, u64 id, f64 reward).
+constexpr std::size_t kMinRecordBytes = 17;
 
 // ------------------------------------------------------ wire payloads ---
 // All doubles travel as IEEE-754 bit patterns (WireWriter::put_double), so
@@ -80,6 +78,7 @@ ReplayInitMsg decode_replay_init(const std::string& payload) {
   msg.graph_seed = in.get_u64();
   msg.model_arm_average = in.get_double();
   const std::uint64_t arms = in.get_u64();
+  in.check_count(arms, 8, "arm model");
   msg.arm_model.reserve(arms);
   for (std::uint64_t i = 0; i < arms; ++i) {
     msg.arm_model.push_back(in.get_double());
@@ -161,6 +160,7 @@ std::vector<serve::EventRecord> decode_event_chunk(
         std::to_string(expected_index) + " was expected");
   }
   const std::uint32_t count = in.get_u32();
+  in.check_count(count, kMinRecordBytes, "event record");
   std::vector<serve::EventRecord> records;
   records.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -251,134 +251,92 @@ ReplayResultMsg decode_replay_result(const std::string& payload) {
   return msg;
 }
 
-/// See the crash-injection note in dispatch.hpp.
-void maybe_inject_crash(const ReplayAssignMsg& msg) {
-  const char* kill_spec = std::getenv("NCB_REPLAY_KILL_SPEC");
-  if (kill_spec != nullptr && msg.attempt == 1 && msg.spec == kill_spec) {
-    ::raise(SIGKILL);
+/// Receives the panel context and the record stream, then scores
+/// candidates through the exact score_candidate path the local panel uses.
+class ReplayCandidateHandler final : public dist::AssignmentHandler {
+ public:
+  [[nodiscard]] MsgType expects() const override {
+    if (!init_) return MsgType::kReplayInit;
+    if (chunks_seen_ < init_->chunks) return MsgType::kReplayEvents;
+    return MsgType::kReplayAssign;
   }
-}
+
+  [[nodiscard]] std::optional<Frame> handle(const Frame& frame,
+                                            std::string& key) override {
+    if (frame.type == MsgType::kReplayAssign) return score(frame, key);
+    if (frame.type == MsgType::kReplayInit) {
+      init_ = decode_replay_init(frame.payload);
+      // Reserve the announced stream only if the announced chunks could
+      // carry it (no overflow: chunks < 2^32, records per chunk < 2^20).
+      if (init_->total_records > std::uint64_t{init_->chunks} *
+                                     (dist::kMaxFramePayload /
+                                      kMinRecordBytes)) {
+        throw std::invalid_argument(
+            "replay init: " + std::to_string(init_->total_records) +
+            " records cannot fit in " + std::to_string(init_->chunks) +
+            " chunks");
+      }
+      records_.reserve(static_cast<std::size_t>(init_->total_records));
+    } else {
+      for (serve::EventRecord& record :
+           decode_event_chunk(frame.payload, chunks_seen_++)) {
+        records_.push_back(std::move(record));
+      }
+    }
+    if (chunks_seen_ == init_->chunks) start_scoring();
+    return std::nullopt;
+  }
+
+ private:
+  void start_scoring() {
+    if (records_.size() != init_->total_records) {
+      throw std::runtime_error(
+          "received " + std::to_string(records_.size()) +
+          " records, coordinator announced " +
+          std::to_string(init_->total_records));
+    }
+    ExperimentConfig config;
+    config.graph_family = exp::parse_family(init_->family);
+    config.num_arms = static_cast<std::size_t>(init_->num_arms);
+    config.edge_probability = init_->edge_probability;
+    config.family_param = static_cast<std::size_t>(init_->family_param);
+    config.seed = init_->graph_seed;
+    graph_.emplace(build_graph(config));
+    options_.epsilon = init_->epsilon;
+    options_.seed = init_->seed;
+    options_.horizon = static_cast<TimeSlot>(init_->horizon);
+  }
+
+  [[nodiscard]] Frame score(const Frame& frame, std::string& key) {
+    const ReplayAssignMsg assign = decode_replay_assign(frame.payload);
+    key = assign.spec;
+    // See the crash-injection note in dispatch.hpp.
+    const char* kill_spec = std::getenv("NCB_REPLAY_KILL_SPEC");
+    if (kill_spec != nullptr && assign.attempt == 1 && key == kill_spec) {
+      ::raise(SIGKILL);
+    }
+    ReplayResultMsg result;
+    result.index = assign.index;
+    result.summary =
+        score_candidate(*graph_, records_, assign.spec, options_,
+                        init_->arm_model, init_->model_arm_average);
+    return Frame{MsgType::kReplayResult, encode_replay_result(result)};
+  }
+
+  std::optional<ReplayInitMsg> init_;
+  std::uint32_t chunks_seen_ = 0;
+  std::vector<serve::EventRecord> records_;
+  std::optional<Graph> graph_;
+  ReplayOptions options_;
+};
 
 }  // namespace
 
 int run_replay_worker(const ReplayWorkerOptions& options) {
-  ::signal(SIGINT, SIG_IGN);  // the coordinator owns interrupt handling
-
-  switch (dist::worker_handshake(options.fd, kReplayWireSchema,
-                                 options.threads, "ncb_replay worker")) {
-    case 0:
-      break;
-    case 1:
-      return 0;
-    default:
-      return 2;
-  }
-
-  // Phase 1: panel context, then the record stream, chunk by chunk in
-  // order. Everything score_candidate reads comes from these frames.
-  ReplayInitMsg init;
-  std::vector<serve::EventRecord> records;
-  try {
-    std::optional<Frame> frame = dist::read_frame(options.fd);
-    if (!frame || frame->type == MsgType::kShutdown) return 0;
-    if (frame->type != MsgType::kReplayInit) {
-      std::cerr << "ncb_replay worker: expected ReplayInit, got "
-                << dist::frame_type_name(frame->type) << '\n';
-      return 2;
-    }
-    init = decode_replay_init(frame->payload);
-    records.reserve(static_cast<std::size_t>(init.total_records));
-    for (std::uint32_t chunk = 0; chunk < init.chunks; ++chunk) {
-      frame = dist::read_frame(options.fd);
-      if (!frame) return 0;  // coordinator vanished — nothing was lost
-      if (frame->type != MsgType::kReplayEvents) {
-        std::cerr << "ncb_replay worker: expected ReplayEvents chunk "
-                  << chunk << ", got " << dist::frame_type_name(frame->type)
-                  << '\n';
-        return 2;
-      }
-      for (serve::EventRecord& record :
-           decode_event_chunk(frame->payload, chunk)) {
-        records.push_back(std::move(record));
-      }
-    }
-    if (records.size() != init.total_records) {
-      std::cerr << "ncb_replay worker: received " << records.size()
-                << " records, coordinator announced " << init.total_records
-                << '\n';
-      return 2;
-    }
-  } catch (const dist::PeerClosedError&) {
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "ncb_replay worker: stream setup failed: " << e.what()
-              << '\n';
-    return 2;
-  }
-
-  ExperimentConfig config;
-  config.graph_family = exp::parse_family(init.family);
-  config.num_arms = static_cast<std::size_t>(init.num_arms);
-  config.edge_probability = init.edge_probability;
-  config.family_param = static_cast<std::size_t>(init.family_param);
-  config.seed = init.graph_seed;
-  const Graph graph = build_graph(config);
-
-  ReplayOptions replay_options;
-  replay_options.epsilon = init.epsilon;
-  replay_options.seed = init.seed;
-  replay_options.horizon = static_cast<TimeSlot>(init.horizon);
-
-  // Phase 2: candidate loop.
-  while (true) {
-    std::optional<Frame> frame;
-    try {
-      frame = dist::read_frame(options.fd);
-    } catch (const std::exception& e) {
-      std::cerr << "ncb_replay worker: read failed: " << e.what() << '\n';
-      return 2;
-    }
-    if (!frame || frame->type == MsgType::kShutdown) return 0;
-    if (frame->type != MsgType::kReplayAssign) {
-      std::cerr << "ncb_replay worker: unexpected frame type "
-                << dist::frame_type_name(frame->type) << '\n';
-      return 2;
-    }
-
-    ReplayAssignMsg assign;
-    std::string error;
-    try {
-      assign = decode_replay_assign(frame->payload);
-      maybe_inject_crash(assign);
-
-      ReplayResultMsg result;
-      result.index = assign.index;
-      result.summary = score_candidate(graph, records, assign.spec,
-                                       replay_options, init.arm_model,
-                                       init.model_arm_average);
-      dist::write_frame(options.fd, MsgType::kReplayResult,
-                        encode_replay_result(result));
-      continue;
-    } catch (const dist::PeerClosedError&) {
-      return 0;  // coordinator gone; it will requeue the candidate
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-
-    // A candidate that cannot be scored (bad spec reaching this far, a
-    // policy that throws) is fatal for the whole panel — report it so the
-    // coordinator aborts with the real message.
-    try {
-      dist::WorkerErrorMsg report;
-      report.key = assign.spec;
-      report.message = error;
-      dist::write_frame(options.fd, MsgType::kWorkerError,
-                        dist::encode_worker_error(report));
-    } catch (const std::exception&) {
-      // Coordinator already gone; the exit code still says "error".
-    }
-    return 1;
-  }
+  ReplayCandidateHandler handler;
+  return dist::run_assignment_loop(options.fd, kReplayWireSchema,
+                                   options.threads, "ncb_replay worker",
+                                   handler);
 }
 
 DistPanelSummary run_distributed_panel(const Graph& graph,
@@ -386,9 +344,6 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
                                        const std::vector<std::string>& specs,
                                        const ReplayOptions& options,
                                        const ReplayDispatchOptions& dispatch) {
-  if (dispatch.transport == nullptr) {
-    throw std::invalid_argument("run_distributed_panel: no transport");
-  }
   if (dispatch.graph_config == nullptr) {
     throw std::invalid_argument("run_distributed_panel: no graph config");
   }
@@ -404,8 +359,9 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
   summary.panel = panel_base(graph, scan);
   if (specs.empty()) return summary;
 
-  // Pre-encode the per-worker setup once; every admitted (and readmitted)
-  // worker gets the same bytes.
+  // The per-worker preamble, encoded once: every admitted (and
+  // readmitted) worker gets the same bytes.
+  std::vector<std::string> chunks = encode_event_chunks(scan.records);
   ReplayInitMsg init;
   init.epsilon = options.epsilon;
   init.seed = options.seed;
@@ -417,160 +373,53 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
   init.graph_seed = dispatch.graph_config->seed;
   init.model_arm_average = summary.panel.model_arm_average;
   init.arm_model = summary.panel.arm_model;
-  const std::vector<std::string> chunks = encode_event_chunks(scan.records);
   init.chunks = static_cast<std::uint32_t>(chunks.size());
   init.total_records = scan.records.size();
-  const std::string init_payload = encode_replay_init(init);
 
-  std::deque<std::size_t> queue;
-  for (std::size_t i = 0; i < specs.size(); ++i) queue.push_back(i);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  obs::Gauge& m_queued = registry.gauge("replay.candidates.queued");
-  obs::Counter& m_requeued = registry.counter("replay.candidates.requeued");
-  m_queued.set(static_cast<std::int64_t>(queue.size()));
-  std::vector<std::size_t> attempts(specs.size(), 0);
-  std::vector<CandidateSummary> done(specs.size());
-  std::size_t completed = 0;
-
-  net::WorkerPool::Options pool_options;
-  pool_options.transport = dispatch.transport;
-  pool_options.expected_schema = kReplayWireSchema;
-  pool_options.admission_budget =
-      dispatch.transport->can_spawn() ? dispatch.workers + 2 : 32;
-
-  net::WorkerPool::Hooks hooks;
-  // Declared before the pool so the lambdas outlive it on every path.
-  auto assign_next = [&](net::WorkerPool& pool, net::PoolWorker& worker) {
-    if (worker.peer.fd < 0 || !worker.admitted || worker.user_tag >= 0 ||
-        worker.shutdown_sent) {
-      return;
-    }
-    if (queue.empty()) {
-      // Keep the worker idle while other candidates are in flight: a crash
-      // would requeue one, and this worker is where it would land. Only a
-      // fully drained run (nothing queued, nothing assigned) shuts it down.
-      bool anything_assigned = false;
-      for (const net::PoolWorker& other : pool.workers()) {
-        if (other.peer.fd >= 0 && other.user_tag >= 0) {
-          anything_assigned = true;
-          break;
-        }
-      }
-      if (!anything_assigned) pool.send_shutdown(worker);
-      return;
-    }
-    const std::size_t index = queue.front();
-    queue.pop_front();
-    m_queued.set(static_cast<std::int64_t>(queue.size()));
-    worker.user_tag = static_cast<std::ptrdiff_t>(index);
+  net::TaskKind kind;
+  kind.noun = "candidate";
+  kind.schema = kReplayWireSchema;
+  kind.metrics_prefix = "replay.candidates";
+  kind.assign_type = MsgType::kReplayAssign;
+  kind.result_type = MsgType::kReplayResult;
+  kind.preamble.push_back({MsgType::kReplayInit, encode_replay_init(init)});
+  for (std::string& chunk : chunks) {
+    kind.preamble.push_back({MsgType::kReplayEvents, std::move(chunk)});
+  }
+  kind.encode = [](const net::FarmTask& task, std::uint32_t attempt) {
     ReplayAssignMsg assign;
-    assign.index = static_cast<std::uint32_t>(index);
-    assign.attempt = static_cast<std::uint32_t>(attempts[index] + 1);
-    assign.spec = specs[index];
-    pool.send(worker, MsgType::kReplayAssign, encode_replay_assign(assign));
+    assign.index = static_cast<std::uint32_t>(task.id);
+    assign.attempt = attempt;
+    assign.spec = task.name;
+    return encode_replay_assign(assign);
+  };
+  std::vector<CandidateSummary> done(specs.size());
+  kind.file_result = [&done](const net::FarmTask& task, std::uint32_t,
+                             const std::string& payload,
+                             const net::PoolWorker&) {
+    ReplayResultMsg result = decode_replay_result(payload);
+    if (result.index != task.id || result.summary.spec != task.name) {
+      return false;
+    }
+    done[task.id] = std::move(result.summary);
+    return true;
   };
 
-  net::WorkerPool pool(pool_options, net::WorkerPool::Hooks{});
-  // Hooks reference the pool, so they are installed after construction via
-  // the captured reference above; WorkerPool stores them by value.
-  hooks.on_admitted = [&](net::PoolWorker& worker) {
-    pool.send(worker, MsgType::kReplayInit, init_payload);
-    for (const std::string& chunk : chunks) {
-      if (worker.peer.fd < 0) return;
-      pool.send(worker, MsgType::kReplayEvents, chunk);
-    }
-    assign_next(pool, worker);
-  };
-  hooks.on_frame = [&](net::PoolWorker& worker, const Frame& frame) {
-    switch (frame.type) {
-      case MsgType::kReplayResult: {
-        ReplayResultMsg result = decode_replay_result(frame.payload);
-        if (result.index >= specs.size() || worker.user_tag < 0 ||
-            static_cast<std::uint32_t>(worker.user_tag) != result.index ||
-            result.summary.spec != specs[result.index]) {
-          throw std::runtime_error(
-              "protocol violation: replay result for candidate " +
-              std::to_string(result.index) +
-              " does not match the worker's assignment");
-        }
-        worker.user_tag = -1;
-        ++worker.jobs_done;
-        done[result.index] = std::move(result.summary);
-        ++completed;
-        assign_next(pool, worker);
-        return;
-      }
-      case MsgType::kWorkerError: {
-        const dist::WorkerErrorMsg error =
-            dist::decode_worker_error(frame.payload);
-        throw std::runtime_error("replay worker failed on candidate '" +
-                                 error.key + "': " + error.message);
-      }
-      default:
-        throw std::runtime_error(
-            "protocol violation: unexpected frame type " +
-            dist::frame_type_label(static_cast<std::uint8_t>(frame.type)) +
-            " from a replay worker");
-    }
-  };
-  hooks.on_lost = [&](net::PoolWorker& worker) {
-    if (worker.user_tag < 0) return;
-    const std::size_t index = static_cast<std::size_t>(worker.user_tag);
-    ++attempts[index];
-    if (attempts[index] >= dispatch.max_attempts) {
-      throw std::runtime_error("candidate '" + specs[index] +
-                               "' crashed its worker " +
-                               std::to_string(attempts[index]) +
-                               " times — aborting");
-    }
-    // Requeue at the front: the retry recomputes the candidate from the
-    // same shipped stream, so the assembled panel does not depend on the
-    // crash at all.
-    queue.push_front(index);
-    m_queued.set(static_cast<std::int64_t>(queue.size()));
-    ++summary.requeues;
-    m_requeued.inc();
-  };
-  pool.set_hooks(std::move(hooks));
-
-  if (pool.can_spawn()) {
-    pool.spawn(std::max<std::size_t>(
-        1, std::min(dispatch.workers, specs.size())));
-  }
-
-  auto in_flight = [&] {
-    std::size_t n = 0;
-    for (const net::PoolWorker& worker : pool.workers()) {
-      if (worker.peer.fd >= 0 && worker.user_tag >= 0) ++n;
-    }
-    return n;
-  };
-
-  while (pool.live() > 0 || !queue.empty() || in_flight() > 0) {
-    pool.poll_once(200);
-    if (pool.can_spawn()) {
-      const std::size_t wanted =
-          std::min(dispatch.workers, queue.size() + in_flight());
-      while (pool.live() < wanted) pool.spawn(1);
-    }
-    // A requeue or a late admission may leave queued candidates next to
-    // idle workers — hand them out every turn, and drain the fleet once
-    // nothing is queued or in flight.
-    for (net::PoolWorker& worker : pool.workers()) assign_next(pool, worker);
-  }
-  if (completed != specs.size()) {
-    throw std::runtime_error("distributed replay drained with " +
-                             std::to_string(specs.size() - completed) +
-                             " candidates unscored");
-  }
+  std::vector<net::FarmTask> tasks;
+  for (std::size_t i = 0; i < specs.size(); ++i) tasks.push_back({i, specs[i]});
+  net::FarmOptions farm;
+  farm.transport = dispatch.transport;
+  farm.workers = dispatch.workers;
+  net::FarmSummary run = net::run_task_farm(tasks, kind, farm);
+  summary.requeues = run.requeues;
+  summary.workers = std::move(run.workers);
 
   // Exact reduction: merge each worker's raw Welford state into an empty
   // accumulator (a bitwise copy — candidates arrive whole, so the merge's
   // exact-copy branch is the one taken), then derive the display figures
   // through the same finalize_candidate the local panel uses.
   summary.panel.candidates.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    CandidateSummary candidate = std::move(done[i]);
+  for (CandidateSummary& candidate : done) {
     RunningStat ips;
     ips.merge(candidate.ips_stat);
     candidate.ips_stat = ips;
@@ -580,7 +429,6 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
     finalize_candidate(candidate);
     summary.panel.candidates.push_back(std::move(candidate));
   }
-  summary.workers = pool.summaries();
   return summary;
 }
 

@@ -1,25 +1,10 @@
-// Distributed replay: fan a candidate panel across workers over a
-// net::StreamTransport, byte-identical to the single-process panel.
-//
-// Sharding is by CANDIDATE, not by log range: a candidate policy's state
-// is sequential and history-dependent (the replay determinism contract
-// mirrors serve::DecisionEngine's clock and per-key streams), so cutting
-// the stream would change every estimate after the cut — and break the
-// logging-identity pin. Candidates, on the other hand, never interact:
-// replay_panel scores each one independently over the same stream. So the
-// coordinator runs pass 1 (join + DR baseline + empirical stats) locally
-// once, ships the record stream to every worker in decision-ordered
-// chunks (bounded well under the frame cap), and assigns one candidate
-// per idle worker. Workers run the exact score_candidate code path the
-// local panel uses and ship back raw accumulator state — Welford
-// (count, mean, m2, min, max) tuples and the weight sums, never derived
-// figures — which the coordinator merges into empty accumulators (a
-// bitwise copy, see RunningStat::merge) and finalizes through the same
-// finalize_candidate the local panel calls. Every double on the wire is
-// an exact IEEE-754 bit pattern, so the assembled panel is byte-identical
-// to `--workers 0` for any worker count, transport, or mid-run crash
-// (a lost worker's candidate is requeued and recomputed from scratch —
-// same inputs, same bytes).
+// Distributed replay: a thin adapter that runs a candidate panel on the
+// task farm (net/task_farm.hpp) — sharded by candidate, because a
+// candidate's replay state is sequential while candidates never interact
+// — with pass 1 run locally once, the record stream shipped to every
+// worker as a preamble, and raw Welford state merged back exactly, so the
+// assembled panel is byte-identical to `--workers 0` for any worker
+// count, transport or mid-run crash.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +12,8 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "net/task_farm.hpp"
 #include "net/transport.hpp"
-#include "net/worker_pool.hpp"
 #include "replay/replay.hpp"
 #include "serve/event_log.hpp"
 #include "sim/experiment.hpp"
@@ -44,11 +29,10 @@ struct ReplayWorkerOptions {
   std::size_t threads = 0;  ///< Reported in WorkerInfo (display only).
 };
 
-/// Runs the replay worker loop: handshake, receive the panel context
-/// (ReplayInit) and the event stream (ReplayEvents chunks), then score
-/// assigned candidates until Shutdown or coordinator EOF. Returns a
-/// process exit code: 0 on a clean drain, 2 on handshake/protocol
-/// failure, 1 after reporting a candidate error.
+/// The replay worker: receives the panel context (ReplayInit) and the
+/// event stream (ReplayEvents chunks), then scores assigned candidates
+/// through the exact score_candidate path the local panel uses and ships
+/// back raw accumulator state, on dist::run_assignment_loop's exit codes.
 ///
 /// Crash injection (tests/CI only): when the environment variable
 /// NCB_REPLAY_KILL_SPEC equals the assigned candidate spec and the
@@ -62,8 +46,6 @@ struct ReplayDispatchOptions {
   /// Fleet size on a spawning transport (capped at the candidate count);
   /// ignored on an accept transport.
   std::size_t workers = 2;
-  /// A candidate that crashes its worker this many times aborts the run.
-  std::size_t max_attempts = 3;
   /// Graph construction parameters to ship (family/arms/edge-prob/
   /// family-param/seed are read; required).
   const ExperimentConfig* graph_config = nullptr;
@@ -79,7 +61,7 @@ struct DistPanelSummary {
 /// Distributed replay_panel: identical validation, pass 1 local, one
 /// candidate per worker assignment, byte-identical assembled panel.
 /// Throws std::runtime_error when a worker reports a candidate error or a
-/// candidate exhausts max_attempts.
+/// candidate exhausts net::kMaxAttempts.
 [[nodiscard]] DistPanelSummary run_distributed_panel(
     const Graph& graph, const serve::EventLogScan& scan,
     const std::vector<std::string>& specs, const ReplayOptions& options,

@@ -100,6 +100,19 @@ TEST(Wire, TrailingBytesRejectedByFinish) {
   EXPECT_THROW(in.finish(), std::invalid_argument);
 }
 
+TEST(Wire, CheckCountMeasuresAgainstTheUnreadBytes) {
+  WireWriter out;
+  out.put_u32(3);
+  out.put_u64(1);
+  const std::string bytes = out.take();
+  WireReader in(bytes);
+  EXPECT_EQ(in.remaining(), 12u);
+  EXPECT_EQ(in.get_u32(), 3u);
+  EXPECT_EQ(in.remaining(), 8u);
+  EXPECT_NO_THROW(in.check_count(1, 8, "u64"));
+  EXPECT_THROW(in.check_count(2, 8, "u64"), std::invalid_argument);
+}
+
 // ------------------------------------------------------------ messages ---
 
 TEST(Messages, HelloRoundTripAndValidation) {
@@ -192,6 +205,23 @@ TEST(Messages, JobResultAndWorkerErrorRoundTrip) {
       decode_worker_error(encode_worker_error(error));
   EXPECT_EQ(decoded_error.key, "k");
   EXPECT_EQ(decoded_error.message, "unknown policy 'nope'");
+}
+
+TEST(Messages, StatsReplyCountBeyondPayloadIsRejectedBeforeAllocating) {
+  // A count of 2^32 - 1 stats entries with no entry bytes behind it: the
+  // decoder must refuse it as a truncated payload, not try to reserve it.
+  EXPECT_THROW((void)decode_stats_reply(std::string(4, '\xff')),
+               std::invalid_argument);
+
+  // One entry declared and present decodes; two declared, one present,
+  // does not.
+  StatsReplyMsg one;
+  one.entries.push_back({StatsEntry::kCounter, "a.b", 5});
+  const std::string payload = encode_stats_reply(one);
+  ASSERT_EQ(decode_stats_reply(payload).entries.size(), 1u);
+  std::string two_claimed = payload;
+  two_claimed[0] = 2;
+  EXPECT_THROW((void)decode_stats_reply(two_claimed), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- framing ---

@@ -3,23 +3,31 @@
 // sockets (frame round-trips, TCP_NODELAY, named EADDRINUSE / refused
 // errors), the frame decoder fed byte-at-a-time and in fuzzed partial
 // chunks through an actual TCP stream, the versioned worker handshake
-// rejected over TCP, and the WorkerPool admission / loss / budget state
-// machine driven through a TcpServerTransport.
+// rejected over TCP, the WorkerPool admission / loss / budget state
+// machine driven through a TcpServerTransport, and the TaskFarm's
+// scheduling (front requeue, attempt cap, idle hold) against hand-rolled
+// workers over TCP.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "exp/emitters.hpp"
+#include "net/task_farm.hpp"
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
 #include "net/worker_pool.hpp"
@@ -430,6 +438,233 @@ TEST(WorkerPool, LostWorkerFiresOnLostWithTagIntact) {
   EXPECT_TRUE(summaries[0].lost_in_flight);
   EXPECT_EQ(summaries[0].host, "testhost");
   EXPECT_EQ(summaries[0].remote_pid, 1234u);
+}
+
+// ------------------------------------------------------ TaskFarm over TCP ---
+
+constexpr std::uint32_t kFarmSchema = 91;
+
+using Assignment = std::pair<std::uint64_t, std::uint32_t>;  ///< id, attempt
+
+/// What a fake farm worker saw: its assignments in order, and whether the
+/// farm ended it with a Shutdown.
+struct FakeLog {
+  std::vector<Assignment> assigned;
+  bool shutdown = false;
+};
+
+/// The protocol half of run_fake_worker (below).
+void serve_fake_assignments(int fd, FakeLog& log,
+                            const std::function<bool(const FakeLog&)>& survive) {
+  dist::HelloMsg hello;
+  hello.schema = kFarmSchema;
+  dist::write_frame(fd, dist::MsgType::kHello, dist::encode_hello(hello));
+  dist::WorkerInfoMsg info;
+  info.host = "fake";
+  info.pid = 1;
+  info.threads = 1;
+  dist::write_frame(fd, dist::MsgType::kWorkerInfo,
+                    dist::encode_worker_info(info));
+  std::optional<dist::Frame> frame = dist::read_frame(fd);
+  ASSERT_TRUE(frame && frame->type == dist::MsgType::kHelloAck);
+  while ((frame = dist::read_frame(fd))) {
+    if (frame->type == dist::MsgType::kShutdown) {
+      log.shutdown = true;
+      break;
+    }
+    EXPECT_EQ(frame->type, dist::MsgType::kJobAssign);
+    dist::WireReader in(frame->payload);
+    const std::uint64_t id = in.get_u64();
+    const std::uint32_t attempt = in.get_u32();
+    log.assigned.emplace_back(id, attempt);
+    if (!survive(log)) break;
+    dist::WireWriter out;
+    out.put_u64(id);
+    dist::write_frame(fd, dist::MsgType::kJobResult, out.take());
+  }
+}
+
+/// A hand-rolled farm worker: completes the handshake, then answers each
+/// assignment (u64 task id | u32 attempt) with a result echoing the id —
+/// unless `survive` (called after each assignment is logged) returns
+/// false, in which case it closes its stream with the task in flight (the
+/// SIGKILL stand-in). Returns on Shutdown, EOF or that close; a farm that
+/// goes quiet for 20 s fails the test instead of hanging it.
+void run_fake_worker(const HostPort& address, FakeLog& log,
+                     const std::function<bool(const FakeLog&)>& survive =
+                         [](const FakeLog&) { return true; }) {
+  const int fd = tcp_connect_retry(address, 2000, 5000);
+  const timeval timeout{20, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  try {
+    serve_fake_assignments(fd, log, survive);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "fake worker: " << e.what();
+  }
+  ::close(fd);
+}
+
+/// Dies on its first assignment.
+bool die_at_once(const FakeLog&) { return false; }
+
+/// Spins until `flag` is set (bounded, so a broken farm fails, not hangs).
+void wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Echo kind: the assignment carries the task id and attempt, the result
+/// the id; `filed` collects task ids in filing order.
+TaskKind echo_kind(std::vector<std::size_t>& filed) {
+  TaskKind kind;
+  kind.noun = "task";
+  kind.schema = kFarmSchema;
+  kind.metrics_prefix = "test.farm";
+  kind.encode = [](const FarmTask& task, std::uint32_t attempt) {
+    dist::WireWriter out;
+    out.put_u64(task.id);
+    out.put_u32(attempt);
+    return out.take();
+  };
+  kind.file_result = [&filed](const FarmTask& task, std::uint32_t,
+                              const std::string& payload, const PoolWorker&) {
+    dist::WireReader in(payload);
+    const std::uint64_t id = in.get_u64();
+    in.finish();
+    if (id != task.id) return false;
+    filed.push_back(task.id);
+    return true;
+  };
+  return kind;
+}
+
+/// Farm options over `transport`, with a deadline stop so a farm that
+/// loses track of a task ends the test instead of hanging it.
+FarmOptions farm_options(TcpServerTransport& transport) {
+  FarmOptions options;
+  options.transport = &transport;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  options.should_stop = [deadline] {
+    return std::chrono::steady_clock::now() > deadline;
+  };
+  return options;
+}
+
+TEST(TaskFarm, LostTaskIsRequeuedAtTheFrontWithItsNextAttempt) {
+  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+  std::vector<std::size_t> filed;
+  const TaskKind kind = echo_kind(filed);
+
+  // The first worker vanishes holding task 0; the second connects after.
+  FakeLog first;
+  FakeLog second;
+  std::thread fleet([&] {
+    run_fake_worker(transport.bound(), first, die_at_once);
+    run_fake_worker(transport.bound(), second);
+  });
+  const FarmSummary summary = run_task_farm(
+      {{0, "task-0"}, {1, "task-1"}}, kind, farm_options(transport));
+  fleet.join();
+
+  EXPECT_EQ(first.assigned, (std::vector<Assignment>{{0, 1}}));
+  // Front requeue: task 0 comes back before task 1, on attempt 2.
+  EXPECT_EQ(second.assigned, (std::vector<Assignment>{{0, 2}, {1, 1}}));
+  EXPECT_TRUE(second.shutdown);
+  EXPECT_EQ(filed, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(summary.requeues, 1u);
+  EXPECT_EQ(summary.pending, 0u);
+  EXPECT_FALSE(summary.interrupted);
+  ASSERT_EQ(summary.workers.size(), 2u);
+  EXPECT_TRUE(summary.workers[0].lost_in_flight);
+  EXPECT_EQ(summary.workers[0].jobs_done, 0u);
+  EXPECT_FALSE(summary.workers[1].lost);
+  EXPECT_EQ(summary.workers[1].jobs_done, 2u);
+}
+
+TEST(TaskFarm, TaskThatKeepsLosingItsWorkerAbortsTheRun) {
+  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+  std::vector<std::size_t> filed;
+  const TaskKind kind = echo_kind(filed);
+
+  std::vector<FakeLog> logs(kMaxAttempts);
+  std::thread fleet([&] {
+    for (FakeLog& log : logs) run_fake_worker(transport.bound(), log, die_at_once);
+  });
+  try {
+    (void)run_task_farm({{7, "poison-task"}}, kind, farm_options(transport));
+    ADD_FAILURE() << "the farm finished a task that killed every worker";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'poison-task'"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(kMaxAttempts) + " times"),
+              std::string::npos)
+        << what;
+  }
+  fleet.join();
+  for (std::uint32_t i = 0; i < kMaxAttempts; ++i) {
+    EXPECT_EQ(logs[i].assigned, (std::vector<Assignment>{{7, i + 1}}))
+        << "worker " << i;
+  }
+  EXPECT_TRUE(filed.empty());
+}
+
+TEST(TaskFarm, IdleWorkerIsHeldWhileATaskIsInFlightAndTakesTheRequeue) {
+  TcpServerTransport transport(HostPort{"127.0.0.1", 0});
+  std::vector<std::size_t> filed;
+  TaskKind kind = echo_kind(filed);
+  std::atomic<bool> task0_filed{false};
+  kind.file_result = [&, file = kind.file_result](
+                         const FarmTask& task, std::uint32_t attempt,
+                         const std::string& payload, const PoolWorker& worker) {
+    const bool ok = file(task, attempt, payload, worker);
+    if (task.id == 0) task0_filed = true;
+    return ok;
+  };
+
+  // `held` takes task 0 and finishes it once `doomed` holds task 1; only
+  // after task 0 is filed does `doomed` vanish. The farm must keep `held`
+  // (no Shutdown) and hand it the requeued task 1.
+  std::atomic<bool> held_busy{false};
+  std::atomic<bool> doomed_busy{false};
+  FakeLog held;
+  FakeLog doomed;
+  std::thread held_thread([&] {
+    run_fake_worker(transport.bound(), held, [&](const FakeLog& log) {
+      if (log.assigned.size() == 1) {
+        held_busy = true;
+        wait_for(doomed_busy);
+      }
+      return true;
+    });
+  });
+  std::thread doomed_thread([&] {
+    wait_for(held_busy);
+    run_fake_worker(transport.bound(), doomed, [&](const FakeLog&) {
+      doomed_busy = true;
+      wait_for(task0_filed);
+      return false;
+    });
+  });
+  const FarmSummary summary = run_task_farm(
+      {{0, "task-0"}, {1, "task-1"}}, kind, farm_options(transport));
+  held_thread.join();
+  doomed_thread.join();
+
+  EXPECT_EQ(held.assigned, (std::vector<Assignment>{{0, 1}, {1, 2}}));
+  EXPECT_TRUE(held.shutdown);
+  EXPECT_EQ(doomed.assigned, (std::vector<Assignment>{{1, 1}}));
+  EXPECT_FALSE(doomed.shutdown);
+  EXPECT_EQ(filed, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(summary.requeues, 1u);
+  EXPECT_FALSE(summary.interrupted);
+  ASSERT_EQ(summary.workers.size(), 2u);
+  EXPECT_FALSE(summary.workers[0].lost);
+  EXPECT_EQ(summary.workers[0].jobs_done, 2u);
+  EXPECT_TRUE(summary.workers[1].lost_in_flight);
 }
 
 }  // namespace

@@ -9,16 +9,23 @@
 //  - a candidate's replay estimate agrees with an exact on-policy run of
 //    that candidate at matched seeds (statistically, within its own SE);
 //  - replaying the same log twice is bit-identical, down to the rendered
-//    panel JSON bytes.
+//    panel JSON bytes;
+//  - a replay worker refuses an announced event stream its chunks could
+//    not carry instead of trying to reserve it.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "dist/protocol.hpp"
 #include "exp/emitters.hpp"
+#include "replay/dispatch.hpp"
 #include "replay/estimators.hpp"
 #include "replay/replay.hpp"
 #include "serve/decision_engine.hpp"
@@ -372,6 +379,50 @@ TEST(ReplayEmitters, PanelDocumentShapeAndDeterminism) {
   EXPECT_NE(doc.find("\"engine\": \"ncb_replay\""), std::string::npos);
   EXPECT_NE(doc.find("\"policies\": [\n"), std::string::npos);
   EXPECT_EQ(doc, exp::render_replay_panel_json(meta, {line, line}));
+}
+
+TEST(ReplayWorker, RejectsAnAnnouncedStreamItsChunksCannotCarry) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  int exit_code = -1;
+  std::thread worker([&] {
+    replay::ReplayWorkerOptions options;
+    options.fd = sv[1];
+    exit_code = replay::run_replay_worker(options);
+    ::close(sv[1]);
+  });
+
+  // Admit the worker, then announce 2^40 records in a single chunk.
+  const auto hello = dist::read_frame(sv[0]);
+  const auto info = dist::read_frame(sv[0]);
+  EXPECT_TRUE(hello && hello->type == dist::MsgType::kHello);
+  EXPECT_TRUE(info && info->type == dist::MsgType::kWorkerInfo);
+  dist::write_frame(sv[0], dist::MsgType::kHelloAck,
+                    dist::encode_hello_ack());
+  dist::WireWriter init;
+  init.put_double(0.1);                   // epsilon
+  init.put_u64(7);                        // seed
+  init.put_u64(0);                        // horizon
+  init.put_string(exp::family_token(GraphFamily::kErdosRenyi));
+  init.put_u64(4);                        // arms
+  init.put_double(0.5);                   // edge probability
+  init.put_u64(0);                        // family parameter
+  init.put_u64(7);                        // graph seed
+  init.put_double(0.5);                   // model arm average
+  init.put_u64(0);                        // arm model entries
+  init.put_u32(1);                        // chunks
+  init.put_u64(std::uint64_t{1} << 40);   // total records
+  dist::write_frame(sv[0], dist::MsgType::kReplayInit, init.take());
+
+  const auto reply = dist::read_frame(sv[0]);
+  ::close(sv[0]);
+  worker.join();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, dist::MsgType::kWorkerError);
+  const std::string message =
+      dist::decode_worker_error(reply->payload).message;
+  EXPECT_NE(message.find("cannot fit"), std::string::npos) << message;
+  EXPECT_EQ(exit_code, 1);
 }
 
 }  // namespace

@@ -428,6 +428,7 @@ ScenarioResult run_scenario(int connections, int n,
     // decide/feedback traffic flows — the "telemetry observes, never
     // perturbs" invariant under actual interleaving.
     std::atomic<bool> poller_stop{false};
+    std::atomic<bool> poller_answered{false};
     std::thread poller;
     if (poll) {
       poller = std::thread([&] {
@@ -438,9 +439,19 @@ ScenarioResult run_scenario(int connections, int n,
           const auto frame = dist::read_frame(fd);
           if (!frame || frame->type != MsgType::kStatsReply) break;
           ++result.background_polls;
+          poller_answered.store(true);
         }
         ::close(fd);
       });
+      // Hold the traffic until the first StatsReply is back, so the polls
+      // really interleave with it (otherwise the lockstep requests can all
+      // finish before the poller's first round trip).
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!poller_answered.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
     }
 
     std::vector<int> fds;
