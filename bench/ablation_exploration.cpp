@@ -7,7 +7,6 @@
 
 #include "bench_common.hpp"
 #include "core/dfl_sso.hpp"
-#include "sim/replication.hpp"
 #include "sim/thread_pool.hpp"
 
 int main(int argc, char** argv) {
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
   std::cout << "eta,final_cumulative_regret,ci95\n";
   std::vector<double> series;
   for (const double eta : {0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0}) {
-    const auto result = run_replicated_single(
+    const auto result = exp::run_sharded_single(
         [eta](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
           DflSsoOptions opts;
           opts.exploration_scale = eta;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/policy_registry.hpp"
+#include "exp/shard_scheduler.hpp"
 #include "sim/experiment.hpp"
 #include "util/arg_parse.hpp"
 #include "util/ascii_plot.hpp"

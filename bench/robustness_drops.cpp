@@ -7,7 +7,6 @@
 
 #include "bench_common.hpp"
 #include "core/policy_factory.hpp"
-#include "sim/replication.hpp"
 #include "sim/thread_pool.hpp"
 
 int main(int argc, char** argv) {
@@ -37,7 +36,7 @@ int main(int argc, char** argv) {
     options.runner.horizon = config.horizon;
     options.runner.observation_drop_prob = drop;
     options.pool = &pool;
-    const auto result = run_replicated_single(
+    const auto result = exp::run_sharded_single(
         [&](std::uint64_t seed) {
           return make_single_play_policy("dfl-sso", config.horizon, seed);
         },

@@ -3,10 +3,11 @@
 # with per-stage timing and a one-line recap so CI logs are skimmable.
 #
 # Usage: ./ci.sh            — everything: the release lane, then ASan/UBSan.
-#        ./ci.sh release    — -Werror Release build, full ctest, observe-path
-#                             smoke, sweep-engine smoke (resume round-trip,
-#                             thread determinism, distributed dispatch incl.
-#                             localhost-TCP workers), serve smoke (real server
+#        ./ci.sh release    — src/ layering check, -Werror Release build,
+#                             full ctest, observe-path smoke, sweep-engine
+#                             smoke (resume round-trip, thread determinism,
+#                             distributed dispatch incl. localhost-TCP
+#                             workers), serve smoke (real server
 #                             + driver + SIGTERM drain), replay smoke (offline
 #                             panel over the serve log + logging-identity pin
 #                             + sharded 2-worker panel, also with a
@@ -41,6 +42,34 @@ stage() {
   "$@"
   dt=$(( $(date +%s) - t0 ))
   RECAP+=("${label} OK (${dt}s)")
+}
+
+# Layering: each src/ subsystem may include only itself and the subsystems
+# listed before it in LAYERS, so the dependency graph stays a DAG. Every
+# offending include is printed as file:line. net -> dist is the one known
+# exception: net/ still reads dist/protocol.hpp's framing until the wire/
+# split (ROADMAP "one of everything", item 3).
+LAYERS="util theory obs graph env strategy core sim exp net dist serve replay"
+LAYER_EXCEPTIONS="net->dist"
+layering() {
+  local -A rank
+  local i=0 layer file line dep dir bad=0
+  for layer in $LAYERS; do rank[$layer]=$((i++)); done
+  while IFS=: read -r file line dep; do
+    dir=${file#src/}; dir=${dir%%/*}
+    dep=${dep#*\"}; dep=${dep%/}
+    [ "$dir" = "$dep" ] && continue
+    case " $LAYER_EXCEPTIONS " in *" $dir->$dep "*) continue ;; esac
+    if [ -z "${rank[$dir]+x}" ] || [ -z "${rank[$dep]+x}" ]; then
+      echo "layering: $file:$line: $dir -> $dep (subsystem missing from LAYERS)"
+      bad=1
+    elif [ "${rank[$dep]}" -gt "${rank[$dir]}" ]; then
+      echo "layering: $file:$line: $dir includes later subsystem $dep/"
+      bad=1
+    fi
+  done < <(grep -rnoE '^\s*#\s*include\s*"[a-z_]+/' src)
+  [ "$bad" = 0 ] || return 1
+  echo "layering: src/ includes follow $LAYERS (except $LAYER_EXCEPTIONS)"
 }
 
 release_build() {
@@ -539,6 +568,8 @@ PY
 }
 
 release_lane() {
+  stage "layering" "layering: src/ subsystems include only earlier ones" \
+        layering
   stage "tier-1" "tier-1: -Werror Release build + full test suite" tier1
   stage "smoke" "observe-path smoke: batched vs per-edge delivery must run" smoke
   stage "sweep" "sweep smoke: resume + thread/worker determinism + kill-requeue" \

@@ -11,8 +11,8 @@
 
 #include "core/dfl_cso.hpp"
 #include "core/cucb.hpp"
+#include "exp/shard_scheduler.hpp"
 #include "graph/generators.hpp"
-#include "sim/replication.hpp"
 
 int main() {
   using namespace ncb;
@@ -40,12 +40,12 @@ int main() {
   ThreadPool pool;
   options.pool = &pool;
 
-  const auto dfl = run_replicated_combinatorial(
+  const auto dfl = exp::run_sharded_combinatorial(
       [&](std::uint64_t seed) -> std::unique_ptr<CombinatorialPolicy> {
         return std::make_unique<DflCso>(family, DflCsoOptions{.seed = seed});
       },
       instance, *family, Scenario::kCso, options);
-  const auto cucb = run_replicated_combinatorial(
+  const auto cucb = exp::run_sharded_combinatorial(
       [&](std::uint64_t seed) -> std::unique_ptr<CombinatorialPolicy> {
         return std::make_unique<Cucb>(family, CucbOptions{.seed = seed});
       },
@@ -77,7 +77,7 @@ int main() {
       make_partition_matroid_family(graph, categories, /*capacity=*/1));
   std::cout << "\nwith a one-ad-per-category constraint: "
             << diverse_family->size() << " feasible placements\n";
-  const auto diverse = run_replicated_combinatorial(
+  const auto diverse = exp::run_sharded_combinatorial(
       [&](std::uint64_t seed) -> std::unique_ptr<CombinatorialPolicy> {
         return std::make_unique<DflCso>(diverse_family,
                                         DflCsoOptions{.seed = seed});

@@ -12,8 +12,8 @@
 #include "core/dfl_sso.hpp"
 #include "core/moss.hpp"
 #include "core/ucb_n.hpp"
+#include "exp/shard_scheduler.hpp"
 #include "graph/generators.hpp"
-#include "sim/replication.hpp"
 
 int main() {
   using namespace ncb;
@@ -62,8 +62,8 @@ int main() {
   std::cout << "\nmissed transmission opportunities over "
             << options.runner.horizon << " slots:\n";
   for (const auto& entry : policies) {
-    const auto result = run_replicated_single(entry.factory, instance,
-                                              Scenario::kSso, options);
+    const auto result = exp::run_sharded_single(
+        entry.factory, instance, Scenario::kSso, options);
     std::cout << "  " << std::setw(8) << std::left << entry.name << std::right
               << " cumulative regret = " << std::setw(8)
               << result.final_cumulative.mean() << "  (R_n/n = "

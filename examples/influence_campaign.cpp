@@ -13,9 +13,9 @@
 
 #include "core/cucb.hpp"
 #include "core/dfl_csr.hpp"
+#include "exp/shard_scheduler.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
-#include "sim/replication.hpp"
 
 int main() {
   using namespace ncb;
@@ -73,7 +73,7 @@ int main() {
   std::cout << "cumulative missed purchases over " << options.runner.horizon
             << " weeks (regret vs sigma*):\n";
   for (const auto& entry : entries) {
-    const auto result = run_replicated_combinatorial(
+    const auto result = exp::run_sharded_combinatorial(
         entry.factory, instance, *family, Scenario::kCsr, options);
     std::cout << "  " << entry.label << " : "
               << result.final_cumulative.mean() << " (+/-"

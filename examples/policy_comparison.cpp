@@ -16,6 +16,7 @@
 
 #include "core/policy_factory.hpp"
 #include "core/policy_registry.hpp"
+#include "exp/shard_scheduler.hpp"
 #include "sim/experiment.hpp"
 #include "util/arg_parse.hpp"
 #include "util/ascii_plot.hpp"
@@ -126,12 +127,12 @@ int run(int argc, char** argv) {
     ro.pool = &pool;
     const ReplicatedResult result =
         is_combinatorial(scenario)
-            ? run_replicated_combinatorial(
+            ? exp::run_sharded_combinatorial(
                   [&](std::uint64_t seed) {
                     return make_combinatorial_policy(policy, family, seed);
                   },
                   instance, *family, scenario, ro)
-            : run_replicated_single(
+            : exp::run_sharded_single(
                   [&](std::uint64_t seed) {
                     return make_single_play_policy(policy, config.horizon, seed);
                   },

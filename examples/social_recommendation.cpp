@@ -12,9 +12,9 @@
 
 #include "core/dfl_ssr.hpp"
 #include "core/moss.hpp"
+#include "exp/shard_scheduler.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
-#include "sim/replication.hpp"
 
 int main() {
   using namespace ncb;
@@ -44,12 +44,12 @@ int main() {
   // DFL-SSR targets neighborhood value; MOSS chases individual conversions
   // and is structurally blind to the hub effect (run under the same SSR
   // payout to make the comparison fair).
-  const auto ssr = run_replicated_single(
+  const auto ssr = exp::run_sharded_single(
       [](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
         return std::make_unique<DflSsr>(DflSsrOptions{.seed = seed});
       },
       instance, Scenario::kSsr, options);
-  const auto moss = run_replicated_single(
+  const auto moss = exp::run_sharded_single(
       [&](std::uint64_t seed) -> std::unique_ptr<SinglePlayPolicy> {
         return std::make_unique<Moss>(
             MossOptions{.horizon = options.runner.horizon, .seed = seed});

@@ -1,8 +1,7 @@
 // Scenario tags for the four cases of §II, plus the bitmask vocabulary the
 // policy layer uses to advertise scenario support.
 //
-// This lives in core/ (not sim/) because policies and the registry need it;
-// sim/semantics.hpp re-exports it for the existing include sites.
+// This lives in core/ (not sim/) because policies and the registry need it.
 #pragma once
 
 #include <cstdint>

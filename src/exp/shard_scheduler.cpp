@@ -1,19 +1,67 @@
 #include "exp/shard_scheduler.hpp"
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/policy_factory.hpp"
 #include "util/rng.hpp"
+
+namespace ncb {
+
+std::vector<double> ReplicatedResult::average_regret() const {
+  std::vector<double> avg = cumulative_regret.means();
+  for (std::size_t i = 0; i < avg.size(); ++i) {
+    avg[i] /= static_cast<double>(i + 1);
+  }
+  return avg;
+}
+
+namespace {
+
+ReplicationOptions experiment_options(const ExperimentConfig& config,
+                                      ThreadPool* pool) {
+  ReplicationOptions options;
+  options.replications = config.replications;
+  options.master_seed = config.seed;
+  options.runner.horizon = config.horizon;
+  options.pool = pool;
+  return options;
+}
+
+}  // namespace
+
+ReplicatedResult run_single_experiment(const ExperimentConfig& config,
+                                       const std::string& policy_name,
+                                       Scenario scenario, ThreadPool* pool) {
+  return exp::run_sharded_single(
+      [&](std::uint64_t seed) {
+        return make_single_play_policy(policy_name, config.horizon, seed);
+      },
+      build_instance(config), scenario, experiment_options(config, pool));
+}
+
+ReplicatedResult run_combinatorial_experiment(const ExperimentConfig& config,
+                                              const std::string& policy_name,
+                                              Scenario scenario,
+                                              ThreadPool* pool) {
+  const BanditInstance instance = build_instance(config);
+  const auto family = build_family(config, instance.graph());
+  return exp::run_sharded_combinatorial(
+      [&](std::uint64_t seed) {
+        return make_combinatorial_policy(policy_name, family, seed);
+      },
+      instance, *family, scenario, experiment_options(config, pool));
+}
+
+}  // namespace ncb
 
 namespace ncb::exp {
 
 ShardPlan plan_shards(std::size_t replications, TimeSlot horizon,
-                      std::size_t shard_size_override,
-                      std::size_t target_slots_per_shard) {
+                      std::size_t shard_size_override) {
   if (horizon <= 0) {
     throw std::invalid_argument("plan_shards: horizon must be positive");
   }
@@ -23,7 +71,7 @@ ShardPlan plan_shards(std::size_t replications, TimeSlot horizon,
     plan.shard_size = shard_size_override;
   } else {
     const std::size_t by_horizon =
-        target_slots_per_shard / static_cast<std::size_t>(horizon);
+        kDefaultSlotsPerShard / static_cast<std::size_t>(horizon);
     plan.shard_size = by_horizon == 0 ? 1 : by_horizon;
   }
   if (replications > 0 && plan.shard_size > replications) {
@@ -44,6 +92,23 @@ void for_each_shard(const ShardPlan& plan, ThreadPool* pool,
   }
 }
 
+RunResult run_replication(std::size_t r, std::uint64_t master_seed,
+                          const std::shared_ptr<const BanditInstance>& instance,
+                          Scenario scenario,
+                          const SinglePolicyFactory& make_single,
+                          const CombinatorialPolicyFactory& make_combinatorial,
+                          const FeasibleSet* family,
+                          const RunnerOptions& runner) {
+  Environment env(instance, derive_seed_at(master_seed, 2 * r));
+  const std::uint64_t policy_seed = derive_seed_at(master_seed, 2 * r + 1);
+  if (is_combinatorial(scenario)) {
+    const auto policy = make_combinatorial(policy_seed);
+    return run_combinatorial(*policy, *family, env, scenario, runner);
+  }
+  const auto policy = make_single(policy_seed);
+  return run_single_play(*policy, env, scenario, runner);
+}
+
 namespace {
 
 void merge_part(ReplicatedResult& result, const ReplicatedResult& part) {
@@ -56,20 +121,25 @@ void merge_part(ReplicatedResult& result, const ReplicatedResult& part) {
   result.replications += part.replications;
 }
 
-/// Shared shard→result reduction. `run_rep(r)` executes replication r and
-/// must be thread-safe across distinct r. Shards merge *eagerly* but
-/// strictly in shard-index order (a completed out-of-order shard parks in
-/// `pending` until its turn), so the result is bit-identical to a
-/// sequential run while peak memory stays at one accumulator plus the few
-/// shards that finished ahead of their turn — not all shards at once.
-template <typename RunRep>
-ReplicatedResult run_sharded_impl(Scenario scenario,
-                                  const ReplicationOptions& options,
-                                  std::size_t shard_size_override,
-                                  const RunRep& run_rep) {
+/// Shared shard→result reduction over run_replication. Shards merge
+/// *eagerly* but strictly in shard-index order (a completed out-of-order
+/// shard parks in `pending` until its turn), so the result is bit-identical
+/// to a sequential run while peak memory stays at one accumulator plus the
+/// few shards that finished ahead of their turn — not all shards at once.
+ReplicatedResult run_sharded(
+    const SinglePolicyFactory& make_single,
+    const CombinatorialPolicyFactory& make_combinatorial,
+    const BanditInstance& instance, const FeasibleSet* family,
+    Scenario scenario, const ReplicationOptions& options) {
+  if (is_combinatorial(scenario) ? !make_combinatorial : !make_single) {
+    throw std::invalid_argument("run_sharded: no policy factory for " +
+                                scenario_name(scenario));
+  }
+  // One shared copy up front; replications then share it instead of each
+  // deep-copying the CSR graph into their Environment.
+  const auto shared = std::make_shared<const BanditInstance>(instance);
   const ShardPlan plan =
-      plan_shards(options.replications, options.runner.horizon,
-                  shard_size_override);
+      plan_shards(options.replications, options.runner.horizon);
   std::mutex merge_mutex;
   std::map<std::size_t, ReplicatedResult> pending;
   std::size_t next_to_merge = 0;
@@ -80,7 +150,10 @@ ReplicatedResult run_sharded_impl(Scenario scenario,
     ReplicatedResult part;
     part.scenario = scenario;
     for (std::size_t r = plan.shard_begin(s); r < plan.shard_end(s); ++r) {
-      const RunResult run = run_rep(r);
+      const RunResult run =
+          run_replication(r, options.master_seed, shared, scenario,
+                          make_single, make_combinatorial, family,
+                          options.runner);
       part.per_slot_regret.add_series(run.per_slot_regret);
       part.cumulative_regret.add_series(run.cumulative_regret);
       part.per_slot_pseudo_regret.add_series(run.per_slot_pseudo_regret);
@@ -106,42 +179,17 @@ ReplicatedResult run_sharded_impl(Scenario scenario,
 ReplicatedResult run_sharded_single(const SinglePolicyFactory& make_policy,
                                     const BanditInstance& instance,
                                     Scenario scenario,
-                                    const ReplicationOptions& options,
-                                    std::size_t shard_size_override) {
-  if (!make_policy) {
-    throw std::invalid_argument("run_sharded_single: null factory");
-  }
-  // One shared copy up front; replications then share it instead of each
-  // deep-copying the CSR graph into their Environment.
-  const auto shared =
-      std::make_shared<const BanditInstance>(instance);
-  return run_sharded_impl(
-      scenario, options, shard_size_override, [&](std::size_t r) {
-        Environment env(shared, derive_seed_at(options.master_seed, 2 * r));
-        const auto policy =
-            make_policy(derive_seed_at(options.master_seed, 2 * r + 1));
-        return run_single_play(*policy, env, scenario, options.runner);
-      });
+                                    const ReplicationOptions& options) {
+  return run_sharded(make_policy, nullptr, instance, nullptr, scenario,
+                     options);
 }
 
 ReplicatedResult run_sharded_combinatorial(
     const CombinatorialPolicyFactory& make_policy,
     const BanditInstance& instance, const FeasibleSet& family,
-    Scenario scenario, const ReplicationOptions& options,
-    std::size_t shard_size_override) {
-  if (!make_policy) {
-    throw std::invalid_argument("run_sharded_combinatorial: null factory");
-  }
-  const auto shared =
-      std::make_shared<const BanditInstance>(instance);
-  return run_sharded_impl(
-      scenario, options, shard_size_override, [&](std::size_t r) {
-        Environment env(shared, derive_seed_at(options.master_seed, 2 * r));
-        const auto policy =
-            make_policy(derive_seed_at(options.master_seed, 2 * r + 1));
-        return run_combinatorial(*policy, family, env, scenario,
-                                 options.runner);
-      });
+    Scenario scenario, const ReplicationOptions& options) {
+  return run_sharded(nullptr, make_policy, instance, &family, scenario,
+                     options);
 }
 
 }  // namespace ncb::exp

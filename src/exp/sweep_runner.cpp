@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/policy_factory.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace ncb::exp {
@@ -64,6 +63,13 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
 
   RunnerOptions runner;
   runner.horizon = config.horizon;
+  const SinglePolicyFactory make_single = [&](std::uint64_t seed) {
+    return make_single_play_policy(job.policy, config.horizon, seed);
+  };
+  const CombinatorialPolicyFactory make_combinatorial =
+      [&](std::uint64_t seed) {
+        return make_combinatorial_policy(job.policy, family, seed);
+      };
 
   const auto cancelled = [&options] {
     return options.should_stop && options.should_stop();
@@ -79,18 +85,9 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
     ShardSamples out;
     out.reps.reserve(plan.shard_end(s) - plan.shard_begin(s));
     for (std::size_t r = plan.shard_begin(s); r < plan.shard_end(s); ++r) {
-      Environment env(instance, derive_seed_at(config.seed, 2 * r));
-      const std::uint64_t policy_seed = derive_seed_at(config.seed, 2 * r + 1);
-      RunResult run;
-      if (combinatorial) {
-        const auto policy =
-            make_combinatorial_policy(job.policy, family, policy_seed);
-        run = run_combinatorial(*policy, *family, env, job.scenario, runner);
-      } else {
-        const auto policy =
-            make_single_play_policy(job.policy, config.horizon, policy_seed);
-        run = run_single_play(*policy, env, job.scenario, runner);
-      }
+      const RunResult run = run_replication(
+          r, config.seed, instance, job.scenario, make_single,
+          make_combinatorial, family.get(), runner);
       out.reps.push_back(sample_run(run, grid));
       out.optimal_per_slot = run.optimal_per_slot;
     }

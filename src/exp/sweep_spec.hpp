@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/scenario.hpp"
 #include "sim/experiment.hpp"
 
 namespace ncb::exp {

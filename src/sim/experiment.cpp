@@ -3,8 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/policy_factory.hpp"
-#include "exp/shard_scheduler.hpp"
 #include "graph/generators.hpp"
 
 namespace ncb {
@@ -75,43 +73,6 @@ std::shared_ptr<const FeasibleSet> build_family(const ExperimentConfig& config,
   auto shared_graph = std::make_shared<const Graph>(graph);
   return std::make_shared<const FeasibleSet>(make_subset_family(
       shared_graph, config.strategy_size, config.exact_size_strategies));
-}
-
-ReplicatedResult run_single_experiment(const ExperimentConfig& config,
-                                       const std::string& policy_name,
-                                       Scenario scenario, ThreadPool* pool) {
-  const BanditInstance instance = build_instance(config);
-  ReplicationOptions options;
-  options.replications = config.replications;
-  options.master_seed = config.seed;
-  options.runner.horizon = config.horizon;
-  options.pool = pool;
-  // Sharded execution (exp/shard_scheduler.hpp): long horizons split into
-  // one-replication shards so the pool never starves, and the result is
-  // bit-identical whether `pool` is null, 1 thread, or 64.
-  return exp::run_sharded_single(
-      [&](std::uint64_t seed) {
-        return make_single_play_policy(policy_name, config.horizon, seed);
-      },
-      instance, scenario, options);
-}
-
-ReplicatedResult run_combinatorial_experiment(const ExperimentConfig& config,
-                                              const std::string& policy_name,
-                                              Scenario scenario,
-                                              ThreadPool* pool) {
-  const BanditInstance instance = build_instance(config);
-  const auto family = build_family(config, instance.graph());
-  ReplicationOptions options;
-  options.replications = config.replications;
-  options.master_seed = config.seed;
-  options.runner.horizon = config.horizon;
-  options.pool = pool;
-  return exp::run_sharded_combinatorial(
-      [&](std::uint64_t seed) {
-        return make_combinatorial_policy(policy_name, family, seed);
-      },
-      instance, *family, scenario, options);
 }
 
 ExperimentConfig fig3_config() {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "env/instance.hpp"
-#include "sim/replication.hpp"
 #include "strategy/feasible_set.hpp"
 
 namespace ncb {
@@ -51,16 +50,6 @@ struct ExperimentConfig {
 /// Builds the subset strategy family (|s| ≤ M or = M) over the given graph.
 [[nodiscard]] std::shared_ptr<const FeasibleSet> build_family(
     const ExperimentConfig& config, const Graph& graph);
-
-/// Runs one named single-play policy on the config's instance.
-[[nodiscard]] ReplicatedResult run_single_experiment(
-    const ExperimentConfig& config, const std::string& policy_name,
-    Scenario scenario, ThreadPool* pool = nullptr);
-
-/// Runs one named combinatorial policy on the config's instance.
-[[nodiscard]] ReplicatedResult run_combinatorial_experiment(
-    const ExperimentConfig& config, const std::string& policy_name,
-    Scenario scenario, ThreadPool* pool = nullptr);
 
 /// Paper §VII defaults: Fig. 3/5 use K = 100 arms, p = 0.3, n = 10000.
 [[nodiscard]] ExperimentConfig fig3_config();

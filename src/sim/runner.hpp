@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "core/policy.hpp"
+#include "core/scenario.hpp"
 #include "env/environment.hpp"
-#include "sim/semantics.hpp"
 #include "strategy/feasible_set.hpp"
 #include "util/types.hpp"
 

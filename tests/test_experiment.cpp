@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/shard_scheduler.hpp"
+
 namespace ncb {
 namespace {
 

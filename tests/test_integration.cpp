@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/policy_factory.hpp"
+#include "exp/shard_scheduler.hpp"
 #include "graph/generators.hpp"
 #include "sim/experiment.hpp"
-#include "sim/replication.hpp"
 
 namespace ncb {
 namespace {
@@ -42,10 +42,10 @@ TEST(Integration, DflSsoBeatsMossOnConnectedGraph) {
   // Fig. 3's claim on a reduced instance: K = 30, n = 3000.
   const auto inst = er_instance(30, 0.3, 11);
   const TimeSlot n = 3000;
-  const auto sso = run_replicated_single(named_factory("dfl-sso", n), inst,
-                                         Scenario::kSso, opts(10, n));
-  const auto moss = run_replicated_single(named_factory("moss", n), inst,
-                                          Scenario::kSso, opts(10, n));
+  const auto sso = exp::run_sharded_single(
+      named_factory("dfl-sso", n), inst, Scenario::kSso, opts(10, n));
+  const auto moss = exp::run_sharded_single(
+      named_factory("moss", n), inst, Scenario::kSso, opts(10, n));
   EXPECT_LT(sso.final_cumulative.mean(), moss.final_cumulative.mean());
 }
 
@@ -54,10 +54,10 @@ TEST(Integration, DflSsoEqualsMossShapeOnEmptyGraph) {
   // policies should end with comparable cumulative regret (within 2x).
   const auto inst = er_instance(10, 0.0, 13);
   const TimeSlot n = 2000;
-  const auto sso = run_replicated_single(named_factory("dfl-sso", n), inst,
-                                         Scenario::kSso, opts(10, n));
-  const auto moss = run_replicated_single(named_factory("moss-anytime", n),
-                                          inst, Scenario::kSso, opts(10, n));
+  const auto sso = exp::run_sharded_single(
+      named_factory("dfl-sso", n), inst, Scenario::kSso, opts(10, n));
+  const auto moss = exp::run_sharded_single(
+      named_factory("moss-anytime", n), inst, Scenario::kSso, opts(10, n));
   const double a = sso.final_cumulative.mean();
   const double b = moss.final_cumulative.mean();
   EXPECT_LT(a, 2.0 * b + 50.0);
@@ -68,8 +68,8 @@ TEST(Integration, DflSsoZeroRegretTrend) {
   // R_t/t must shrink substantially from t = 100 to t = n.
   const auto inst = er_instance(20, 0.3, 17);
   const TimeSlot n = 4000;
-  const auto result = run_replicated_single(named_factory("dfl-sso", n), inst,
-                                            Scenario::kSso, opts(10, n));
+  const auto result = exp::run_sharded_single(
+      named_factory("dfl-sso", n), inst, Scenario::kSso, opts(10, n));
   const auto avg = result.average_regret();
   EXPECT_LT(avg.back(), 0.5 * avg[99]);
 }
@@ -78,8 +78,8 @@ TEST(Integration, DflSsrConvergesToZeroPerSlotRegret) {
   // Fig. 5's claim: expected regret → 0.
   const auto inst = er_instance(15, 0.3, 19);
   const TimeSlot n = 4000;
-  const auto result = run_replicated_single(named_factory("dfl-ssr", n), inst,
-                                            Scenario::kSsr, opts(10, n));
+  const auto result = exp::run_sharded_single(
+      named_factory("dfl-ssr", n), inst, Scenario::kSsr, opts(10, n));
   const auto pseudo = result.per_slot_pseudo_regret.means();
   EXPECT_LT(tail_mean(pseudo, 200), 0.15);
 }
@@ -113,11 +113,11 @@ TEST(Integration, DflCsrConvergesToZeroPerSlotRegret) {
 TEST(Integration, SidePoliciesBeatRandom) {
   const auto inst = er_instance(15, 0.4, 23);
   const TimeSlot n = 2000;
-  const auto random = run_replicated_single(named_factory("random", n), inst,
-                                            Scenario::kSso, opts(6, n));
+  const auto random = exp::run_sharded_single(
+      named_factory("random", n), inst, Scenario::kSso, opts(6, n));
   for (const char* name : {"dfl-sso", "ucb-n", "ucb1", "thompson"}) {
-    const auto result = run_replicated_single(named_factory(name, n), inst,
-                                              Scenario::kSso, opts(6, n));
+    const auto result = exp::run_sharded_single(
+        named_factory(name, n), inst, Scenario::kSso, opts(6, n));
     EXPECT_LT(result.final_cumulative.mean(),
               0.8 * random.final_cumulative.mean())
         << name;
@@ -127,20 +127,20 @@ TEST(Integration, SidePoliciesBeatRandom) {
 TEST(Integration, UcbNBenefitsFromSideObservations) {
   const auto inst = er_instance(25, 0.4, 29);
   const TimeSlot n = 2500;
-  const auto ucb_n = run_replicated_single(named_factory("ucb-n", n), inst,
-                                           Scenario::kSso, opts(8, n));
-  const auto ucb1 = run_replicated_single(named_factory("ucb1", n), inst,
-                                          Scenario::kSso, opts(8, n));
+  const auto ucb_n = exp::run_sharded_single(
+      named_factory("ucb-n", n), inst, Scenario::kSso, opts(8, n));
+  const auto ucb1 = exp::run_sharded_single(
+      named_factory("ucb1", n), inst, Scenario::kSso, opts(8, n));
   EXPECT_LT(ucb_n.final_cumulative.mean(), ucb1.final_cumulative.mean());
 }
 
 TEST(Integration, DenserGraphsHelpDflSso) {
   // Side observation grows with density; cumulative regret should drop.
   const TimeSlot n = 2500;
-  const auto sparse = run_replicated_single(
+  const auto sparse = exp::run_sharded_single(
       named_factory("dfl-sso", n), er_instance(30, 0.1, 31), Scenario::kSso,
       opts(8, n));
-  const auto dense = run_replicated_single(
+  const auto dense = exp::run_sharded_single(
       named_factory("dfl-sso", n), er_instance(30, 0.8, 31), Scenario::kSso,
       opts(8, n));
   EXPECT_LT(dense.final_cumulative.mean(), sparse.final_cumulative.mean());
@@ -154,8 +154,8 @@ TEST(Integration, SsrOptimumDiffersFromSsoOptimum) {
   ASSERT_EQ(inst.best_arm(), 1);
   ASSERT_EQ(inst.best_side_reward_arm(), 0);
   const TimeSlot n = 3000;
-  const auto result = run_replicated_single(named_factory("dfl-ssr", n), inst,
-                                            Scenario::kSsr, opts(6, n));
+  const auto result = exp::run_sharded_single(
+      named_factory("dfl-ssr", n), inst, Scenario::kSsr, opts(6, n));
   const auto pseudo = result.per_slot_pseudo_regret.means();
   EXPECT_LT(tail_mean(pseudo, 100), 0.2);
 }

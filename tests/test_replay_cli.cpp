@@ -17,6 +17,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -116,6 +117,43 @@ int wait_exit(pid_t pid) {
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
   return -1;
+}
+
+/// Counts the not-yet-read-by-the-server TCP connections to local `port`
+/// that already carry data: ESTABLISHED sockets in /proc/net/tcp whose local
+/// port is `port` and whose receive queue is non-empty. A queued connection
+/// shows up here before the listening process accepts it.
+std::size_t connections_with_data(unsigned long port) {
+  std::ifstream in("/proc/net/tcp");
+  std::string line;
+  std::getline(in, line);  // header
+  std::size_t count = 0;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string slot, local, remote, state, queues;
+    fields >> slot >> local >> remote >> state >> queues;
+    const std::size_t port_at = local.find(':');
+    const std::size_t rx_at = queues.find(':');
+    if (state != "01" || port_at == std::string::npos ||
+        rx_at == std::string::npos) {
+      continue;
+    }
+    if (std::stoul(local.substr(port_at + 1), nullptr, 16) == port &&
+        std::stoul(queues.substr(rx_at + 1), nullptr, 16) > 0) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+/// True when `pid` is blocked in the kernel (state 'S' in /proc/<pid>/stat).
+bool is_sleeping(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  std::getline(in, stat);
+  const std::size_t comm_end = stat.rfind(')');
+  return comm_end != std::string::npos && comm_end + 2 < stat.size() &&
+         stat[comm_end + 2] == 'S';
 }
 
 int run_replay(const std::vector<std::string>& args, const EnvVars& env = {},
@@ -295,8 +333,30 @@ TEST(ReplayCli, TcpWorkersProduceByteIdenticalPanel) {
     advertised.pop_back();
   }
 
+  // Both workers must be admitted before the coordinator can finish the
+  // panel; otherwise one worker alone drains it and the other dials a
+  // closed port. So the coordinator is stopped while the workers connect
+  // and send their handshake (Hello + WorkerInfo, then they block awaiting
+  // HelloAck), and resumed only once both handshakes sit in its queue.
+  ASSERT_EQ(::kill(coordinator, SIGSTOP), 0);
+  int stop_status = 0;
+  ASSERT_EQ(::waitpid(coordinator, &stop_status, WUNTRACED), coordinator);
+  ASSERT_TRUE(WIFSTOPPED(stop_status));
+  const unsigned long port =
+      std::stoul(advertised.substr(advertised.rfind(':') + 1));
+
   const pid_t w1 = spawn_replay({"--worker-connect", advertised}, {});
   const pid_t w2 = spawn_replay({"--worker-connect", advertised}, {});
+  bool handshakes_queued = false;
+  for (int i = 0; i < 4000 && !handshakes_queued; ++i) {
+    handshakes_queued = connections_with_data(port) == 2 &&
+                        is_sleeping(w1) && is_sleeping(w2);
+    if (!handshakes_queued) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_TRUE(handshakes_queued) << "workers never queued their handshakes";
+  ASSERT_EQ(::kill(coordinator, SIGCONT), 0);
   EXPECT_EQ(wait_exit(coordinator), 0);
   EXPECT_EQ(wait_exit(w1), 0);
   EXPECT_EQ(wait_exit(w2), 0);

@@ -1,4 +1,4 @@
-#include "sim/replication.hpp"
+#include "exp/shard_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
@@ -33,9 +33,8 @@ SinglePolicyFactory sso_factory() {
 
 TEST(Replication, CountsAndSeriesLengths) {
   const auto inst = small_instance();
-  const auto result = run_replicated_single(sso_factory(), inst,
-                                            Scenario::kSso,
-                                            quick_options(5, 200));
+  const auto result = exp::run_sharded_single(
+      sso_factory(), inst, Scenario::kSso, quick_options(5, 200));
   EXPECT_EQ(result.replications, 5u);
   EXPECT_EQ(result.per_slot_regret.length(), 200u);
   EXPECT_EQ(result.cumulative_regret.length(), 200u);
@@ -45,19 +44,20 @@ TEST(Replication, CountsAndSeriesLengths) {
 
 TEST(Replication, DeterministicRegardlessOfThreads) {
   const auto inst = small_instance();
-  const auto sequential = run_replicated_single(
+  const auto sequential = exp::run_sharded_single(
       sso_factory(), inst, Scenario::kSso, quick_options(8, 300));
   ThreadPool pool(4);
-  const auto parallel = run_replicated_single(
+  const auto parallel = exp::run_sharded_single(
       sso_factory(), inst, Scenario::kSso, quick_options(8, 300, &pool));
-  // Welford means are permutation-sensitive only to rounding; the totals
-  // must agree to floating-point noise.
+  // Shards merge in shard-index order, so the pool cannot change a bit.
   const auto a = sequential.cumulative_regret.means();
   const auto b = parallel.cumulative_regret.means();
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-8);
-  EXPECT_NEAR(sequential.final_cumulative.mean(),
-              parallel.final_cumulative.mean(), 1e-8);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]) << "slot " << i;
+  }
+  EXPECT_EQ(sequential.final_cumulative.mean(),
+            parallel.final_cumulative.mean());
 }
 
 TEST(Replication, DifferentSeedsGiveDifferentResults) {
@@ -65,16 +65,17 @@ TEST(Replication, DifferentSeedsGiveDifferentResults) {
   auto opts1 = quick_options(4, 200);
   auto opts2 = quick_options(4, 200);
   opts2.master_seed = 9999;
-  const auto r1 = run_replicated_single(sso_factory(), inst, Scenario::kSso, opts1);
-  const auto r2 = run_replicated_single(sso_factory(), inst, Scenario::kSso, opts2);
+  const auto r1 = exp::run_sharded_single(
+      sso_factory(), inst, Scenario::kSso, opts1);
+  const auto r2 = exp::run_sharded_single(
+      sso_factory(), inst, Scenario::kSso, opts2);
   EXPECT_NE(r1.final_cumulative.mean(), r2.final_cumulative.mean());
 }
 
 TEST(Replication, AverageRegretIsCumulativeOverT) {
   const auto inst = small_instance();
-  const auto result = run_replicated_single(sso_factory(), inst,
-                                            Scenario::kSso,
-                                            quick_options(3, 100));
+  const auto result = exp::run_sharded_single(
+      sso_factory(), inst, Scenario::kSso, quick_options(3, 100));
   const auto cum = result.cumulative_regret.means();
   const auto avg = result.average_regret();
   ASSERT_EQ(avg.size(), 100u);
@@ -85,8 +86,8 @@ TEST(Replication, AverageRegretIsCumulativeOverT) {
 
 TEST(Replication, NullFactoryThrows) {
   const auto inst = small_instance();
-  EXPECT_THROW((void)run_replicated_single(nullptr, inst, Scenario::kSso,
-                                           quick_options(2, 10)),
+  EXPECT_THROW((void)exp::run_sharded_single(nullptr, inst, Scenario::kSso,
+                                               quick_options(2, 10)),
                std::invalid_argument);
 }
 
@@ -96,7 +97,7 @@ TEST(Replication, CombinatorialDriverWorks) {
       std::make_shared<const Graph>(inst.graph()), 2));
   ThreadPool pool(2);
   auto opts = quick_options(4, 150, &pool);
-  const auto result = run_replicated_combinatorial(
+  const auto result = exp::run_sharded_combinatorial(
       [family](std::uint64_t seed) -> std::unique_ptr<CombinatorialPolicy> {
         return std::make_unique<DflCso>(family, DflCsoOptions{.seed = seed});
       },
@@ -110,9 +111,8 @@ TEST(Replication, PseudoRegretDecreasesForLearningPolicy) {
   // On an easy instance the average pseudo-regret over the last tenth must
   // be far below the first tenth.
   const auto inst = small_instance();
-  const auto result = run_replicated_single(sso_factory(), inst,
-                                            Scenario::kSso,
-                                            quick_options(10, 2000));
+  const auto result = exp::run_sharded_single(
+      sso_factory(), inst, Scenario::kSso, quick_options(10, 2000));
   const auto pseudo = result.per_slot_pseudo_regret.means();
   double head = 0.0, tail = 0.0;
   for (std::size_t i = 0; i < 200; ++i) {

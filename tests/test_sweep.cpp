@@ -361,6 +361,18 @@ TEST(SweepRunner, CombinatorialScenarioRuns) {
   EXPECT_EQ(result.outcomes[0].job.key, "cso:dfl-cso@er,K=6,p=0.4,n=60,M=2");
 }
 
+void expect_same_bits(const ReplicatedResult& sequential,
+                      const ReplicatedResult& pooled) {
+  ASSERT_EQ(sequential.replications, pooled.replications);
+  const auto a = sequential.cumulative_regret.means();
+  const auto b = pooled.cumulative_regret.means();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]) << "slot " << i;  // bitwise, not NEAR
+  }
+  EXPECT_EQ(sequential.final_cumulative.mean(), pooled.final_cumulative.mean());
+}
+
 TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
   SweepJob job = tiny_spec().expand()[1];  // dfl-sso
   const BanditInstance instance = build_instance(job.config);
@@ -377,14 +389,32 @@ TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
   options.pool = &pool;
   const ReplicatedResult pooled =
       run_sharded_single(make, instance, Scenario::kSso, options);
-  ASSERT_EQ(sequential.replications, pooled.replications);
-  const auto a = sequential.cumulative_regret.means();
-  const auto b = pooled.cumulative_regret.means();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "slot " << i;  // bitwise, not NEAR
-  }
-  EXPECT_EQ(sequential.final_cumulative.mean(), pooled.final_cumulative.mean());
+  expect_same_bits(sequential, pooled);
+
+  // Combinatorial input with an 8-shard plan, so the pool really finishes
+  // shards out of order.
+  ExperimentConfig cso;
+  cso.num_arms = 6;
+  cso.edge_probability = 0.4;
+  cso.horizon = 2048;
+  cso.replications = 64;
+  cso.strategy_size = 2;
+  ASSERT_GT(plan_shards(cso.replications, cso.horizon).num_shards(), 1u);
+  const BanditInstance cso_instance = build_instance(cso);
+  const auto family = build_family(cso, cso_instance.graph());
+  ReplicationOptions cso_options;
+  cso_options.replications = cso.replications;
+  cso_options.master_seed = cso.seed;
+  cso_options.runner.horizon = cso.horizon;
+  const auto make_cso = [&](std::uint64_t seed) {
+    return make_combinatorial_policy("dfl-cso", family, seed);
+  };
+  const ReplicatedResult cso_sequential = run_sharded_combinatorial(
+      make_cso, cso_instance, *family, Scenario::kCso, cso_options);
+  cso_options.pool = &pool;
+  const ReplicatedResult cso_pooled = run_sharded_combinatorial(
+      make_cso, cso_instance, *family, Scenario::kCso, cso_options);
+  expect_same_bits(cso_sequential, cso_pooled);
 }
 
 TEST(ShardedReplication, RunSingleExperimentPoolInvariant) {
