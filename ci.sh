@@ -70,6 +70,8 @@ layering() {
   done < <(grep -rnoE '^\s*#\s*include\s*"[a-z_]+/' src)
   [ "$bad" = 0 ] || return 1
   echo "layering: src/ includes follow $LAYERS (except $LAYER_EXCEPTIONS)"
+  # The src/ line count each change reports (ROADMAP, "Quality of design").
+  echo "layering: src/ is $(cat src/*/*.hpp src/*/*.cpp | wc -l) lines"
 }
 
 release_build() {

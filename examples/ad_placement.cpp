@@ -46,8 +46,8 @@ int main() {
       },
       instance, *family, Scenario::kCso, options);
   const auto cucb = exp::run_sharded_combinatorial(
-      [&](std::uint64_t seed) -> std::unique_ptr<CombinatorialPolicy> {
-        return std::make_unique<Cucb>(family, CucbOptions{.seed = seed});
+      [&](std::uint64_t) -> std::unique_ptr<CombinatorialPolicy> {
+        return std::make_unique<Cucb>(family);
       },
       instance, *family, Scenario::kCso, options);
 

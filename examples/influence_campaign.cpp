@@ -54,19 +54,17 @@ int main() {
   };
   const std::vector<Entry> entries{
       {"DFL-CSR (exact oracle)",
-       [&](std::uint64_t s) -> std::unique_ptr<CombinatorialPolicy> {
-         return std::make_unique<DflCsr>(family, nullptr,
-                                         DflCsrOptions{.seed = s});
+       [&](std::uint64_t) -> std::unique_ptr<CombinatorialPolicy> {
+         return std::make_unique<DflCsr>(family);
        }},
       {"DFL-CSR (lazy greedy) ",
-       [&](std::uint64_t s) -> std::unique_ptr<CombinatorialPolicy> {
+       [&](std::uint64_t) -> std::unique_ptr<CombinatorialPolicy> {
          return std::make_unique<DflCsr>(
-             family, std::make_shared<const GreedyCoverageOracle>(),
-             DflCsrOptions{.seed = s});
+             family, std::make_shared<const GreedyCoverageOracle>());
        }},
       {"CUCB (no influence)   ",
-       [&](std::uint64_t s) -> std::unique_ptr<CombinatorialPolicy> {
-         return std::make_unique<Cucb>(family, CucbOptions{.seed = s});
+       [&](std::uint64_t) -> std::unique_ptr<CombinatorialPolicy> {
+         return std::make_unique<Cucb>(family);
        }},
   };
 

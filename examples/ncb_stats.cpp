@@ -25,6 +25,7 @@
 #include <cstring>
 
 #include "dist/protocol.hpp"
+#include "obs/metrics.hpp"
 #include "util/arg_parse.hpp"
 
 namespace {
@@ -86,8 +87,8 @@ dist::StatsReplyMsg poll_stats(int fd) {
 }
 
 void print_raw(const dist::StatsReplyMsg& reply) {
-  for (const dist::StatsEntry& entry : reply.entries) {
-    if (entry.kind == dist::StatsEntry::kGauge) {
+  for (const obs::StatEntry& entry : reply.entries) {
+    if (entry.kind == obs::kStatGauge) {
       std::cout << entry.name << ' '
                 << static_cast<std::int64_t>(entry.value) << '\n';
     } else {
@@ -101,9 +102,9 @@ void print_raw(const dist::StatsReplyMsg& reply) {
 void print_pretty(const dist::StatsReplyMsg& reply,
                   const std::map<std::string, std::uint64_t>& previous,
                   double interval_seconds) {
-  for (const dist::StatsEntry& entry : reply.entries) {
+  for (const obs::StatEntry& entry : reply.entries) {
     char line[160];
-    if (entry.kind == dist::StatsEntry::kCounter) {
+    if (entry.kind == obs::kStatCounter) {
       const auto it = previous.find(entry.name);
       if (it != previous.end() && interval_seconds > 0) {
         const double rate =
@@ -115,7 +116,7 @@ void print_pretty(const dist::StatsReplyMsg& reply,
         std::snprintf(line, sizeof line, "%-44s %14llu", entry.name.c_str(),
                       static_cast<unsigned long long>(entry.value));
       }
-    } else if (entry.kind == dist::StatsEntry::kGauge) {
+    } else if (entry.kind == obs::kStatGauge) {
       std::snprintf(line, sizeof line, "%-44s %14lld  (gauge)",
                     entry.name.c_str(),
                     static_cast<long long>(
@@ -165,8 +166,8 @@ int main(int argc, char** argv) {
       }
       if (!watch) break;
       previous.clear();
-      for (const dist::StatsEntry& entry : reply.entries) {
-        if (entry.kind == dist::StatsEntry::kCounter) {
+      for (const obs::StatEntry& entry : reply.entries) {
+        if (entry.kind == obs::kStatCounter) {
           previous.emplace(entry.name, entry.value);
         }
       }

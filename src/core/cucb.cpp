@@ -11,7 +11,7 @@
 namespace ncb {
 
 Cucb::Cucb(std::shared_ptr<const FeasibleSet> family, CucbOptions options)
-    : family_(std::move(family)), options_(options), rng_(options.seed) {
+    : family_(std::move(family)), options_(options) {
   if (!family_) throw std::invalid_argument("Cucb: null family");
   reset();
 }
@@ -19,7 +19,6 @@ Cucb::Cucb(std::shared_ptr<const FeasibleSet> family, CucbOptions options)
 void Cucb::reset() {
   stats_.reset(family_->graph().num_vertices());
   scores_.assign(stats_.size(), 0.0);
-  rng_ = Xoshiro256(options_.seed);
 }
 
 double Cucb::arm_index(ArmId i, TimeSlot t) const {
@@ -75,8 +74,7 @@ const PolicyRegistration kRegCucb{{
     nullptr,
     [](const PolicyParams& p, const PolicyBuildContext& ctx) {
       return std::make_unique<Cucb>(
-          ctx.family, CucbOptions{.exploration = p.get_double("c", 1.5),
-                                  .seed = ctx.seed});
+          ctx.family, CucbOptions{.exploration = p.get_double("c", 1.5)});
     },
 }};
 

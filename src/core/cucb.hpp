@@ -10,13 +10,11 @@
 #include "core/arm_stats.hpp"
 #include "core/policy.hpp"
 #include "strategy/feasible_set.hpp"
-#include "util/rng.hpp"
 
 namespace ncb {
 
 struct CucbOptions {
   double exploration = 1.5;  ///< Chen et al. use sqrt(3 ln t / (2 T_i)).
-  std::uint64_t seed = 0x5eedcccb;
 };
 
 class Cucb final : public CombinatorialPolicy {
@@ -41,7 +39,6 @@ class Cucb final : public CombinatorialPolicy {
   CucbOptions options_;
   ArmStatsTable stats_;
   std::vector<double> scores_;
-  Xoshiro256 rng_;
 };
 
 }  // namespace ncb

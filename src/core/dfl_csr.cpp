@@ -14,8 +14,7 @@ DflCsr::DflCsr(std::shared_ptr<const FeasibleSet> family,
     : family_(std::move(family)),
       oracle_(oracle ? std::move(oracle)
                      : std::make_shared<const ExactCoverageOracle>()),
-      options_(options),
-      rng_(options.seed) {
+      options_(options) {
   if (!family_) throw std::invalid_argument("DflCsr: null family");
   reset();
 }
@@ -23,7 +22,6 @@ DflCsr::DflCsr(std::shared_ptr<const FeasibleSet> family,
 void DflCsr::reset() {
   stats_.reset(family_->graph().num_vertices());
   scores_.assign(stats_.size(), 0.0);
-  rng_ = Xoshiro256(options_.seed);
 }
 
 double DflCsr::arm_score(ArmId i, TimeSlot t) const {
@@ -83,8 +81,7 @@ const PolicyRegistration kRegDflCsr{{
     [](const PolicyParams& p, const PolicyBuildContext& ctx) {
       return std::make_unique<DflCsr>(
           ctx.family, nullptr,
-          DflCsrOptions{.unobserved_score = p.get_double("unobserved", 1e6),
-                        .seed = ctx.seed});
+          DflCsrOptions{.unobserved_score = p.get_double("unobserved", 1e6)});
     },
 }};
 
@@ -97,8 +94,7 @@ const PolicyRegistration kRegDflCsrGreedy{{
     [](const PolicyParams& p, const PolicyBuildContext& ctx) {
       return std::make_unique<DflCsr>(
           ctx.family, std::make_shared<const GreedyCoverageOracle>(),
-          DflCsrOptions{.unobserved_score = p.get_double("unobserved", 1e6),
-                        .seed = ctx.seed});
+          DflCsrOptions{.unobserved_score = p.get_double("unobserved", 1e6)});
     },
 }};
 

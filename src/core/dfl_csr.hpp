@@ -19,7 +19,6 @@
 #include "core/policy.hpp"
 #include "strategy/feasible_set.hpp"
 #include "strategy/oracle.hpp"
-#include "util/rng.hpp"
 
 namespace ncb {
 
@@ -27,7 +26,6 @@ struct DflCsrOptions {
   /// Score assigned to a never-observed arm so the oracle prioritizes
   /// strategies that cover it (a finite stand-in for +inf).
   double unobserved_score = 1e6;
-  std::uint64_t seed = 0x5eedc512;
 };
 
 class DflCsr final : public CombinatorialPolicy {
@@ -59,7 +57,6 @@ class DflCsr final : public CombinatorialPolicy {
   DflCsrOptions options_;
   ArmStatsTable stats_;
   std::vector<double> scores_;  // scratch
-  Xoshiro256 rng_;
 };
 
 }  // namespace ncb

@@ -4,28 +4,34 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
 namespace ncb::dist {
 
+// ------------------------------------------------------- frame header ---
+
+void append_frame_header(std::string& out, std::uint32_t length,
+                         std::uint8_t type) {
+  append_le(out, length);
+  out.push_back(static_cast<char>(type));
+}
+
+FrameHeader parse_frame_header(const char* p) {
+  return {load_le<std::uint32_t>(p),
+          static_cast<std::uint8_t>(static_cast<unsigned char>(p[4]))};
+}
+
 // ------------------------------------------------------------ payloads ---
 
 void WireWriter::put_u8(std::uint8_t v) {
-  buffer_.push_back(static_cast<char>(v));
+  out_->push_back(static_cast<char>(v));
 }
 
-void WireWriter::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+void WireWriter::put_u32(std::uint32_t v) { append_le(*out_, v); }
 
-void WireWriter::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+void WireWriter::put_u64(std::uint64_t v) { append_le(*out_, v); }
 
 void WireWriter::put_double(double v) {
   std::uint64_t bits = 0;
@@ -34,12 +40,12 @@ void WireWriter::put_double(double v) {
   put_u64(bits);
 }
 
-void WireWriter::put_string(const std::string& s) {
+void WireWriter::put_string(std::string_view s) {
   if (s.size() > kMaxFramePayload) {
     throw std::invalid_argument("wire: string exceeds frame limit");
   }
   put_u32(static_cast<std::uint32_t>(s.size()));
-  buffer_.append(s);
+  out_->append(s);
 }
 
 namespace {
@@ -51,34 +57,19 @@ namespace {
 
 }  // namespace
 
-std::uint8_t WireReader::get_u8() {
-  if (at_ + 1 > payload_.size()) truncated("u8");
-  return static_cast<std::uint8_t>(payload_[at_++]);
-}
-
-std::uint32_t WireReader::get_u32() {
-  if (at_ + 4 > payload_.size()) truncated("u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(payload_[at_ + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  at_ += 4;
+template <typename T>
+T WireReader::get_le(const char* what) {
+  if (remaining() < sizeof(T)) truncated(what);
+  const T v = load_le<T>(payload_.data() + at_);
+  at_ += sizeof(T);
   return v;
 }
 
-std::uint64_t WireReader::get_u64() {
-  if (at_ + 8 > payload_.size()) truncated("u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(payload_[at_ + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  at_ += 8;
-  return v;
-}
+std::uint8_t WireReader::get_u8() { return get_le<std::uint8_t>("u8"); }
+
+std::uint32_t WireReader::get_u32() { return get_le<std::uint32_t>("u32"); }
+
+std::uint64_t WireReader::get_u64() { return get_le<std::uint64_t>("u64"); }
 
 double WireReader::get_double() {
   const std::uint64_t bits = get_u64();
@@ -89,10 +80,8 @@ double WireReader::get_double() {
 
 std::string WireReader::get_string() {
   const std::uint32_t size = get_u32();
-  if (size > kMaxFramePayload || at_ + size > payload_.size()) {
-    truncated("string");
-  }
-  std::string out = payload_.substr(at_, size);
+  if (size > kMaxFramePayload || size > remaining()) truncated("string");
+  std::string out(payload_.substr(at_, size));
   at_ += size;
   return out;
 }
@@ -177,7 +166,9 @@ HelloMsg decode_hello(const std::string& payload) {
 std::optional<std::string> validate_hello(const HelloMsg& msg,
                                           std::uint32_t expected_schema) {
   if (msg.magic != kProtocolMagic) {
-    return "handshake: bad magic 0x" + std::to_string(msg.magic) +
+    char magic[16];
+    std::snprintf(magic, sizeof magic, "0x%08x", msg.magic);
+    return "handshake: bad magic " + std::string(magic) +
            " (peer does not speak the ncb protocol)";
   }
   if (msg.protocol_version != kProtocolVersion) {
@@ -373,7 +364,7 @@ FeedbackMsg decode_feedback(const std::string& payload) {
 std::string encode_stats_reply(const StatsReplyMsg& msg) {
   WireWriter out;
   out.put_u32(static_cast<std::uint32_t>(msg.entries.size()));
-  for (const StatsEntry& entry : msg.entries) {
+  for (const obs::StatEntry& entry : msg.entries) {
     out.put_u8(entry.kind);
     out.put_string(entry.name);
     out.put_u64(entry.value);
@@ -389,7 +380,7 @@ StatsReplyMsg decode_stats_reply(const std::string& payload) {
   in.check_count(count, 13, "stats entry");
   msg.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    StatsEntry entry;
+    obs::StatEntry entry;
     entry.kind = in.get_u8();
     entry.name = in.get_string();
     entry.value = in.get_u64();
@@ -403,24 +394,24 @@ StatsReplyMsg decode_stats_reply(const std::string& payload) {
 
 namespace {
 
-constexpr std::size_t kFrameHeaderBytes = 5;  // u32 length + u8 type.
-
 bool valid_type(std::uint8_t type) {
   return type >= static_cast<std::uint8_t>(MsgType::kHello) &&
          type <= static_cast<std::uint8_t>(MsgType::kStatsReply);
 }
 
 /// Parses a frame header; throws on an unusable length or type.
-void check_header(std::uint32_t length, std::uint8_t type) {
-  if (length > kMaxFramePayload) {
+FrameHeader checked_header(const char* p) {
+  const FrameHeader header = parse_frame_header(p);
+  if (header.length > kMaxFramePayload) {
     throw std::invalid_argument("frame: oversized payload length " +
-                                std::to_string(length) + " for " +
-                                frame_type_label(type) + " frame");
+                                std::to_string(header.length) + " for " +
+                                frame_type_label(header.type) + " frame");
   }
-  if (!valid_type(type)) {
+  if (!valid_type(header.type)) {
     throw std::invalid_argument("frame: unknown message type " +
-                                frame_type_label(type));
+                                frame_type_label(header.type));
   }
+  return header;
 }
 
 }  // namespace
@@ -438,18 +429,12 @@ std::optional<Frame> FrameDecoder::next() {
   const std::size_t available = buffer_.size() - consumed_;
   if (available < kFrameHeaderBytes) return std::nullopt;
   const char* head = buffer_.data() + consumed_;
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(static_cast<unsigned char>(head[i]))
-              << (8 * i);
-  }
-  const std::uint8_t type = static_cast<unsigned char>(head[4]);
-  check_header(length, type);
-  if (available < kFrameHeaderBytes + length) return std::nullopt;
+  const FrameHeader header = checked_header(head);
+  if (available < kFrameHeaderBytes + header.length) return std::nullopt;
   Frame frame;
-  frame.type = static_cast<MsgType>(type);
-  frame.payload.assign(head + kFrameHeaderBytes, length);
-  consumed_ += kFrameHeaderBytes + length;
+  frame.type = static_cast<MsgType>(header.type);
+  frame.payload.assign(head + kFrameHeaderBytes, header.length);
+  consumed_ += kFrameHeaderBytes + header.length;
   return frame;
 }
 
@@ -472,11 +457,8 @@ void append_frame(std::string& out, MsgType type, const std::string& payload) {
                              " frame");
   }
   out.reserve(out.size() + kFrameHeaderBytes + payload.size());
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
-  }
-  out.push_back(static_cast<char>(type));
+  append_frame_header(out, static_cast<std::uint32_t>(payload.size()),
+                      static_cast<std::uint8_t>(type));
   out.append(payload);
 }
 
@@ -531,17 +513,12 @@ bool read_exact(int fd, char* out, std::size_t size) {
 std::optional<Frame> read_frame(int fd) {
   char header[kFrameHeaderBytes];
   if (!read_exact(fd, header, sizeof header)) return std::nullopt;
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(static_cast<unsigned char>(header[i]))
-              << (8 * i);
-  }
-  const std::uint8_t type = static_cast<unsigned char>(header[4]);
-  check_header(length, type);
+  const FrameHeader parsed = checked_header(header);
   Frame frame;
-  frame.type = static_cast<MsgType>(type);
-  frame.payload.resize(length);
-  if (length > 0 && !read_exact(fd, frame.payload.data(), length)) {
+  frame.type = static_cast<MsgType>(parsed.type);
+  frame.payload.resize(parsed.length);
+  if (parsed.length > 0 &&
+      !read_exact(fd, frame.payload.data(), parsed.length)) {
     throw std::runtime_error(std::string("frame read failed: EOF before ") +
                              frame_type_name(frame.type) + " payload");
   }

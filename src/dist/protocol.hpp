@@ -27,9 +27,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "exp/sweep_spec.hpp"
+#include "obs/metrics.hpp"
 
 namespace ncb::dist {
 
@@ -85,30 +88,78 @@ struct Frame {
   std::string payload;
 };
 
+// ----------------------------------------------- little-endian words ---
+
+/// Appends `v` as sizeof(T) little-endian bytes. The one LE store every
+/// wire and event-log integer goes through.
+template <typename T>
+void append_le(std::string& out, T v) {
+  static_assert(std::is_unsigned_v<T>, "unsigned integer expected");
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+/// Reads sizeof(T) little-endian bytes at `p` (the caller checks bounds).
+template <typename T>
+[[nodiscard]] T load_le(const char* p) {
+  static_assert(std::is_unsigned_v<T>, "unsigned integer expected");
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+// ------------------------------------------------------- frame header ---
+
+/// `u32 payload-length (LE) | u8 type`: the header of every frame and of
+/// every serve/event_log record.
+inline constexpr std::size_t kFrameHeaderBytes = 5;
+
+struct FrameHeader {
+  std::uint32_t length = 0;
+  std::uint8_t type = 0;
+};
+
+/// Appends a header announcing `length` payload bytes of `type`.
+void append_frame_header(std::string& out, std::uint32_t length,
+                         std::uint8_t type);
+/// Parses the kFrameHeaderBytes at `p`; the caller validates the fields.
+[[nodiscard]] FrameHeader parse_frame_header(const char* p);
+
 // ------------------------------------------------------------ payloads ---
 
-/// Little-endian payload packer. Strings are u32-length-prefixed.
+/// Little-endian payload packer. Strings are u32-length-prefixed. Packs
+/// into its own buffer (take() hands it over), or appends to a caller's.
 class WireWriter {
  public:
+  WireWriter() = default;
+  explicit WireWriter(std::string& out) : out_(&out) {}
+  WireWriter(const WireWriter&) = delete;
+  WireWriter& operator=(const WireWriter&) = delete;
+
   void put_u8(std::uint8_t v);
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
   void put_double(double v);  ///< IEEE-754 bit pattern as u64 (exact).
-  void put_string(const std::string& s);
+  void put_string(std::string_view s);
 
   /// Bytes packed so far (for callers batching payloads up to a budget).
-  [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
-  [[nodiscard]] std::string take() { return std::move(buffer_); }
+  [[nodiscard]] std::size_t size() const noexcept { return out_->size(); }
+  [[nodiscard]] std::string take() { return std::move(*out_); }
 
  private:
   std::string buffer_;
+  std::string* out_ = &buffer_;
 };
 
-/// Bounds-checked payload unpacker; throws std::invalid_argument on any
-/// truncation or over-long string, and finish() rejects trailing bytes.
+/// Bounds-checked payload unpacker over a view (so a record decodes in
+/// place); throws std::invalid_argument on any truncation or over-long
+/// string, and finish() rejects trailing bytes.
 class WireReader {
  public:
-  explicit WireReader(const std::string& payload) : payload_(payload) {}
+  explicit WireReader(std::string_view payload) : payload_(payload) {}
 
   [[nodiscard]] std::uint8_t get_u8();
   [[nodiscard]] std::uint32_t get_u32();
@@ -128,7 +179,10 @@ class WireReader {
   void finish() const;
 
  private:
-  const std::string& payload_;
+  template <typename T>
+  [[nodiscard]] T get_le(const char* what);
+
+  std::string_view payload_;
   std::size_t at_ = 0;
 };
 
@@ -227,25 +281,11 @@ struct FeedbackMsg {
 [[nodiscard]] std::string encode_feedback(const FeedbackMsg& msg);
 [[nodiscard]] FeedbackMsg decode_feedback(const std::string& payload);
 
-/// One flattened metric in a StatsReply. `kind` mirrors the obs layer's
-/// StatEntry kinds: 0 counter, 1 gauge (value is an int64 bit pattern),
-/// 2 histogram-derived scalar (name carries a .count/.max/.p50/... suffix).
-/// Kept as a plain wire struct so the protocol layer stays independent of
-/// src/obs/ — the server maps between the two.
-struct StatsEntry {
-  static constexpr std::uint8_t kCounter = 0;
-  static constexpr std::uint8_t kGauge = 1;
-  static constexpr std::uint8_t kHistogram = 2;
-  std::uint8_t kind = 0;
-  std::string name;
-  std::uint64_t value = 0;
-};
-
 /// StatsRequest carries no payload; the reply is the full registry,
 /// flattened. Binary (not JSON) on purpose: a poller like ncb_stats needs
 /// no JSON parser, and the server pays one pass over the registry.
 struct StatsReplyMsg {
-  std::vector<StatsEntry> entries;
+  std::vector<obs::StatEntry> entries;  ///< MetricsSnapshot::flatten order.
 };
 
 [[nodiscard]] std::string encode_stats_reply(const StatsReplyMsg& msg);

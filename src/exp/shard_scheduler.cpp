@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "util/rng.hpp"
 
 namespace ncb {
@@ -38,7 +38,8 @@ ReplicatedResult run_single_experiment(const ExperimentConfig& config,
                                        Scenario scenario, ThreadPool* pool) {
   return exp::run_sharded_single(
       [&](std::uint64_t seed) {
-        return make_single_play_policy(policy_name, config.horizon, seed);
+        return PolicyRegistry::instance().make_single_play(
+            policy_name, config.horizon, seed);
       },
       build_instance(config), scenario, experiment_options(config, pool));
 }
@@ -51,7 +52,8 @@ ReplicatedResult run_combinatorial_experiment(const ExperimentConfig& config,
   const auto family = build_family(config, instance.graph());
   return exp::run_sharded_combinatorial(
       [&](std::uint64_t seed) {
-        return make_combinatorial_policy(policy_name, family, seed);
+        return PolicyRegistry::instance().make_combinatorial(
+            policy_name, family, seed);
       },
       instance, *family, scenario, experiment_options(config, pool));
 }

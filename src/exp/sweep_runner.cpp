@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "util/timer.hpp"
 
 namespace ncb::exp {
@@ -64,11 +64,13 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
   RunnerOptions runner;
   runner.horizon = config.horizon;
   const SinglePolicyFactory make_single = [&](std::uint64_t seed) {
-    return make_single_play_policy(job.policy, config.horizon, seed);
+    return PolicyRegistry::instance().make_single_play(
+        job.policy, config.horizon, seed);
   };
   const CombinatorialPolicyFactory make_combinatorial =
       [&](std::uint64_t seed) {
-        return make_combinatorial_policy(job.policy, family, seed);
+        return PolicyRegistry::instance().make_combinatorial(
+            job.policy, family, seed);
       };
 
   const auto cancelled = [&options] {

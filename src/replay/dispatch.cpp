@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/policy_registry.hpp"
 #include "dist/protocol.hpp"
@@ -24,8 +25,8 @@ using dist::WireWriter;
 /// frame cap with room for the longest plausible key; small enough that a
 /// slow link shows steady progress instead of one giant stall.
 constexpr std::size_t kChunkBytes = 1u << 20;
-/// Smallest encoded event record: a feedback (u8 type, u64 id, f64 reward).
-constexpr std::size_t kMinRecordBytes = 17;
+/// ReplayEvents header: u32 chunk_index | u32 count.
+constexpr std::size_t kChunkHeaderBytes = 8;
 
 // ------------------------------------------------------ wire payloads ---
 // All doubles travel as IEEE-754 bit patterns (WireWriter::put_double), so
@@ -89,69 +90,36 @@ ReplayInitMsg decode_replay_init(const std::string& payload) {
   return msg;
 }
 
-void encode_event_record(WireWriter& out, const serve::EventRecord& record) {
-  const bool decision = record.type == serve::EventType::kDecision;
-  out.put_u8(decision ? 1 : 2);
-  out.put_u64(record.decision_id);
-  if (decision) {
-    out.put_string(record.key);
-    out.put_u32(static_cast<std::uint32_t>(record.action));
-    out.put_double(record.propensity);
-  } else {
-    out.put_double(record.reward);
-  }
-}
-
-serve::EventRecord decode_event_record(WireReader& in) {
-  serve::EventRecord record;
-  const std::uint8_t type = in.get_u8();
-  if (type != 1 && type != 2) {
-    throw std::invalid_argument("replay events: unknown record type " +
-                                std::to_string(type));
-  }
-  record.decision_id = in.get_u64();
-  if (type == 1) {
-    record.type = serve::EventType::kDecision;
-    record.key = in.get_string();
-    record.action = static_cast<ArmId>(in.get_u32());
-    record.propensity = in.get_double();
-  } else {
-    record.type = serve::EventType::kFeedback;
-    record.reward = in.get_double();
-  }
-  return record;
-}
-
-/// Splits the record stream into encoded ReplayEvents payloads of roughly
+/// Splits the record stream into ReplayEvents payloads of roughly
 /// kChunkBytes each, preserving stream order across chunk boundaries.
-/// Layout: u32 chunk_index | u32 count | count records.
+/// Layout: u32 chunk_index | u32 count | count records, byte-for-byte as
+/// the event log file stores them.
 std::vector<std::string> encode_event_chunks(
     const std::vector<serve::EventRecord>& records) {
   std::vector<std::string> chunks;
+  std::string body;  // reused, so its growth slack is paid once
   std::size_t at = 0;
   while (at < records.size() || chunks.empty()) {
-    WireWriter body;
+    body.clear();
     std::uint32_t count = 0;
-    WireWriter header;
-    // Records first (into `body`), then the final payload is assembled
-    // with the known count.
-    while (at < records.size()) {
-      encode_event_record(body, records[at]);
-      ++at;
+    while (at < records.size() && body.size() < kChunkBytes) {
+      serve::append_event_record(body, records[at++]);
       ++count;
-      if (body.size() >= kChunkBytes) break;
     }
-    header.put_u32(static_cast<std::uint32_t>(chunks.size()));
-    header.put_u32(count);
-    std::string payload = header.take();
-    payload += body.take();
-    chunks.push_back(std::move(payload));
+    WireWriter payload;
+    payload.put_u32(static_cast<std::uint32_t>(chunks.size()));
+    payload.put_u32(count);
+    // Sized exactly: every chunk is held for the whole run.
+    chunks.push_back(payload.take() + body);
   }
   return chunks;
 }
 
-std::vector<serve::EventRecord> decode_event_chunk(
-    const std::string& payload, std::uint32_t expected_index) {
+/// Appends one chunk's records to `records`. Unlike the file reader, which
+/// tolerates a torn tail, a chunk must carry exactly its announced records.
+void decode_event_chunk(const std::string& payload,
+                        std::uint32_t expected_index,
+                        std::vector<serve::EventRecord>& records) {
   WireReader in(payload);
   const std::uint32_t index = in.get_u32();
   if (index != expected_index) {
@@ -160,14 +128,17 @@ std::vector<serve::EventRecord> decode_event_chunk(
         std::to_string(expected_index) + " was expected");
   }
   const std::uint32_t count = in.get_u32();
-  in.check_count(count, kMinRecordBytes, "event record");
-  std::vector<serve::EventRecord> records;
-  records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    records.push_back(decode_event_record(in));
+  const std::size_t before = records.size();
+  const std::string_view body =
+      std::string_view(payload).substr(kChunkHeaderBytes);
+  const std::size_t valid = serve::scan_event_records(body, records);
+  if (valid != body.size() || records.size() - before != count) {
+    throw std::invalid_argument(
+        "replay events: chunk " + std::to_string(index) + " announced " +
+        std::to_string(count) + " records but carries " +
+        std::to_string(records.size() - before) + " complete ones and " +
+        std::to_string(body.size() - valid) + " torn bytes");
   }
-  in.finish();
-  return records;
 }
 
 struct ReplayAssignMsg {
@@ -270,7 +241,7 @@ class ReplayCandidateHandler final : public dist::AssignmentHandler {
       // carry it (no overflow: chunks < 2^32, records per chunk < 2^20).
       if (init_->total_records > std::uint64_t{init_->chunks} *
                                      (dist::kMaxFramePayload /
-                                      kMinRecordBytes)) {
+                                      serve::kMinEventRecordBytes)) {
         throw std::invalid_argument(
             "replay init: " + std::to_string(init_->total_records) +
             " records cannot fit in " + std::to_string(init_->chunks) +
@@ -278,10 +249,7 @@ class ReplayCandidateHandler final : public dist::AssignmentHandler {
       }
       records_.reserve(static_cast<std::size_t>(init_->total_records));
     } else {
-      for (serve::EventRecord& record :
-           decode_event_chunk(frame.payload, chunks_seen_++)) {
-        records_.push_back(std::move(record));
-      }
+      decode_event_chunk(frame.payload, chunks_seen_++, records_);
     }
     if (chunks_seen_ == init_->chunks) start_scoring();
     return std::nullopt;

@@ -2,9 +2,9 @@
 // task farm (net/task_farm.hpp) — sharded by candidate, because a
 // candidate's replay state is sequential while candidates never interact
 // — with pass 1 run locally once, the record stream shipped to every
-// worker as a preamble, and raw Welford state merged back exactly, so the
-// assembled panel is byte-identical to `--workers 0` for any worker
-// count, transport or mid-run crash.
+// worker as a preamble of event-log slices, and raw Welford state merged
+// back exactly, so the assembled panel is byte-identical to `--workers 0`
+// for any worker count, transport or mid-run crash.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,8 @@ namespace ncb::replay {
 
 /// Replay wire schema (the Hello schema word of a replay worker). Bump
 /// when the ReplayInit/Events/Assign/Result payloads change.
-inline constexpr std::uint32_t kReplayWireSchema = 1;
+/// v2: ReplayEvents chunks carry event-log records verbatim.
+inline constexpr std::uint32_t kReplayWireSchema = 2;
 
 struct ReplayWorkerOptions {
   int fd = -1;              ///< Connected stream to the coordinator.

@@ -7,10 +7,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -20,21 +20,11 @@ namespace ncb::serve {
 
 namespace {
 
-constexpr std::size_t kHeaderBytes = 8;        // u32 magic + u32 version.
-constexpr std::size_t kRecordHeaderBytes = 5;  // u32 length + u8 type.
+constexpr std::size_t kHeaderBytes = 8;  // u32 magic + u32 version.
 
 /// Caps one record's payload; a corrupted length fails fast instead of
 /// swallowing the rest of the file as "one record".
 constexpr std::uint32_t kMaxRecordPayload = 1u << 20;
-
-std::uint32_t read_u32_le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
 
 obs::MetricsRegistry& log_registry(const EventLog::Options& options) {
   return options.metrics != nullptr ? *options.metrics
@@ -85,35 +75,20 @@ EventLog::~EventLog() {
 void EventLog::append_decision(std::uint64_t decision_id,
                                const std::string& key, ArmId action,
                                double propensity) {
-  dist::WireWriter payload;
-  payload.put_u64(decision_id);
-  payload.put_string(key);
-  payload.put_u32(static_cast<std::uint32_t>(action));
-  payload.put_double(propensity);
-  append_record(EventType::kDecision, payload.take());
+  append_record({EventType::kDecision, decision_id, key, action, propensity,
+                 0.0});
 }
 
 void EventLog::append_feedback(std::uint64_t decision_id, double reward) {
-  dist::WireWriter payload;
-  payload.put_u64(decision_id);
-  payload.put_double(reward);
-  append_record(EventType::kFeedback, payload.take());
+  append_record({EventType::kFeedback, decision_id, {}, kNoArm, 0.0, reward});
 }
 
-void EventLog::append_record(EventType type, const std::string& payload) {
-  if (payload.size() > kMaxRecordPayload) {
-    throw std::invalid_argument("event log: record payload too large");
-  }
+void EventLog::append_record(const EventRecord& record) {
   bool signal = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_) throw std::logic_error("event log: append after close");
-    const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-    for (int i = 0; i < 4; ++i) {
-      active_.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
-    }
-    active_.push_back(static_cast<char>(type));
-    active_.append(payload);
+    append_event_record(active_, record);
     ++records_;
     signal = active_.size() >= options_.flush_bytes;
     // A full buffer while the previous batch is still being written means
@@ -239,82 +214,111 @@ void EventLog::write_all(const std::string& batch) {
   }
 }
 
+void append_event_record(std::string& out, const EventRecord& record) {
+  const bool decision = record.type == EventType::kDecision;
+  // The payload layouts in the header comment, field by field.
+  const std::size_t length =
+      decision ? 8 + 4 + record.key.size() + 4 + 8 : 8 + 8;
+  if (length > kMaxRecordPayload) {
+    throw std::invalid_argument("event log: record payload too large");
+  }
+  dist::append_frame_header(out, static_cast<std::uint32_t>(length),
+                            static_cast<std::uint8_t>(record.type));
+  dist::WireWriter payload(out);
+  payload.put_u64(record.decision_id);
+  if (decision) {
+    payload.put_string(record.key);
+    payload.put_u32(static_cast<std::uint32_t>(record.action));
+    payload.put_double(record.propensity);
+  } else {
+    payload.put_double(record.reward);
+  }
+}
+
+std::size_t scan_event_records(std::string_view bytes,
+                               std::vector<EventRecord>& out) {
+  std::size_t at = 0;
+  while (bytes.size() - at >= dist::kFrameHeaderBytes) {
+    const dist::FrameHeader header =
+        dist::parse_frame_header(bytes.data() + at);
+    if (header.length > kMaxRecordPayload) {
+      throw std::invalid_argument("event log: oversized record (" +
+                                  std::to_string(header.length) +
+                                  " bytes) at offset " + std::to_string(at));
+    }
+    if (header.type != static_cast<std::uint8_t>(EventType::kDecision) &&
+        header.type != static_cast<std::uint8_t>(EventType::kFeedback)) {
+      throw std::invalid_argument("event log: unknown record type " +
+                                  std::to_string(header.type) + " at offset " +
+                                  std::to_string(at));
+    }
+    const std::size_t end = at + dist::kFrameHeaderBytes + header.length;
+    if (end > bytes.size()) break;  // complete header, incomplete payload
+    dist::WireReader payload(
+        bytes.substr(at + dist::kFrameHeaderBytes, header.length));
+    EventRecord record;
+    record.type = static_cast<EventType>(header.type);
+    // A complete record that fails to decode is corruption, not truncation:
+    // WireReader's invalid_argument propagates.
+    record.decision_id = payload.get_u64();
+    if (record.type == EventType::kDecision) {
+      record.key = payload.get_string();
+      record.action = static_cast<ArmId>(payload.get_u32());
+      record.propensity = payload.get_double();
+    } else {
+      record.reward = payload.get_double();
+    }
+    payload.finish();
+    out.push_back(std::move(record));
+    at = end;
+  }
+  return at;
+}
+
 EventLogScan read_event_log(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("event log: cannot read '" + path + "'");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string data = buffer.str();
+  // One buffer, sized up front when the file has a size (a pipe has none):
+  // the whole image is held while it is scanned, so it is held once.
+  std::string data;
+  std::error_code no_size;
+  const std::uintmax_t size = std::filesystem::file_size(path, no_size);
+  if (!no_size) data.reserve(static_cast<std::size_t>(size));
+  char block[1 << 16];
+  while (in.read(block, sizeof block), in.gcount() > 0) {
+    data.append(block, static_cast<std::size_t>(in.gcount()));
+  }
 
   EventLogScan scan;
   if (data.size() < kHeaderBytes) {
     scan.truncated_tail = true;  // not even a complete header
     return scan;
   }
-  const std::uint32_t magic = read_u32_le(data.data());
-  if (magic != kEventLogMagic) {
+  if (dist::load_le<std::uint32_t>(data.data()) != kEventLogMagic) {
     throw std::invalid_argument("event log: bad magic in '" + path +
                                 "' (not an ncb event log)");
   }
-  scan.version = read_u32_le(data.data() + 4);
+  scan.version = dist::load_le<std::uint32_t>(data.data() + 4);
   if (scan.version != kEventLogVersion) {
     throw std::invalid_argument(
         "event log: unsupported version " + std::to_string(scan.version) +
         " (reader supports " + std::to_string(kEventLogVersion) + ")");
   }
-  scan.valid_bytes = kHeaderBytes;
+  const std::string_view records = std::string_view(data).substr(kHeaderBytes);
+  scan.valid_bytes = kHeaderBytes + scan_event_records(records, scan.records);
+  scan.truncated_tail = scan.valid_bytes != data.size();
 
   std::set<std::uint64_t> decision_ids;
-  std::size_t at = kHeaderBytes;
-  while (true) {
-    if (data.size() - at < kRecordHeaderBytes) {
-      scan.truncated_tail = at != data.size();
-      break;
-    }
-    const std::uint32_t length = read_u32_le(data.data() + at);
-    const std::uint8_t raw_type =
-        static_cast<unsigned char>(data[at + kRecordHeaderBytes - 1]);
-    if (length > kMaxRecordPayload) {
-      throw std::invalid_argument("event log: oversized record (" +
-                                  std::to_string(length) + " bytes) at offset " +
-                                  std::to_string(at));
-    }
-    if (raw_type != static_cast<std::uint8_t>(EventType::kDecision) &&
-        raw_type != static_cast<std::uint8_t>(EventType::kFeedback)) {
-      throw std::invalid_argument("event log: unknown record type " +
-                                  std::to_string(raw_type) + " at offset " +
-                                  std::to_string(at));
-    }
-    if (data.size() - at - kRecordHeaderBytes < length) {
-      scan.truncated_tail = true;  // complete header, incomplete payload
-      break;
-    }
-    const std::string payload = data.substr(at + kRecordHeaderBytes, length);
-    dist::WireReader reader(payload);
-    EventRecord record;
-    record.type = static_cast<EventType>(raw_type);
-    // A complete record that fails to decode is corruption, not truncation:
-    // WireReader's invalid_argument propagates.
+  for (const EventRecord& record : scan.records) {
     if (record.type == EventType::kDecision) {
-      record.decision_id = reader.get_u64();
-      record.key = reader.get_string();
-      record.action = static_cast<ArmId>(reader.get_u32());
-      record.propensity = reader.get_double();
-      reader.finish();
       ++scan.decisions;
       decision_ids.insert(record.decision_id);
     } else {
-      record.decision_id = reader.get_u64();
-      record.reward = reader.get_double();
-      reader.finish();
       ++scan.feedbacks;
       if (decision_ids.count(record.decision_id)) ++scan.joined;
     }
-    scan.records.push_back(std::move(record));
-    at += kRecordHeaderBytes + length;
-    scan.valid_bytes = at;
   }
   return scan;
 }

@@ -4,11 +4,18 @@
 // (the MWT Decision Service model): every decision lands as a
 // (decision_id, key, action, propensity) record, every reward join as a
 // (decision_id, reward) record. Records reuse the dist/protocol wire
-// codecs and the frame layout:
+// codecs (WireWriter/WireReader) and its frame header:
 //
-//     file   := header record*
-//     header := u32 magic "NCBL" | u32 version
-//     record := u32 payload-length (LE) | u8 record-type | payload
+//     file     := header record*
+//     header   := u32 magic "NCBL" | u32 version
+//     record   := u32 payload-length (LE) | u8 record-type | payload
+//     decision := u64 decision_id | string key | u32 action | f64 propensity
+//     feedback := u64 decision_id | f64 reward
+//
+// append_event_record and scan_event_records below are the one encoder and
+// the one decoder of that record layout: the writer, the reader, and the
+// distributed replay preamble (whose ReplayEvents chunks are slices of
+// this record stream) all go through them.
 //
 // Writer: a double-buffered batcher. Appends go into an in-memory buffer
 // under a mutex and never wait on disk; a background flusher thread swaps
@@ -31,6 +38,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -58,6 +66,23 @@ struct EventRecord {
   double propensity = 0.0;
   double reward = 0.0;
 };
+
+/// Smallest encoded record: a feedback (5-byte header, u64 id, f64 reward).
+inline constexpr std::size_t kMinEventRecordBytes = 21;
+
+/// Appends `record` to `out`, framed exactly as the log file stores it
+/// (decision-only fields are skipped on feedback records and vice versa).
+/// Throws std::invalid_argument when the payload exceeds the record cap.
+void append_event_record(std::string& out, const EventRecord& record);
+
+/// Decodes the complete records at the front of `bytes`, appending them to
+/// `out`, and returns the byte length of that valid prefix; whatever
+/// follows it is one incomplete record (a torn tail). Offsets in error
+/// messages count from the start of `bytes`. Throws std::invalid_argument
+/// on structural corruption: an unknown record type, an oversized length,
+/// or a complete record whose payload does not decode.
+std::size_t scan_event_records(std::string_view bytes,
+                               std::vector<EventRecord>& out);
 
 class EventLog {
  public:
@@ -105,7 +130,7 @@ class EventLog {
   [[nodiscard]] bool write_failed() const;
 
  private:
-  void append_record(EventType type, const std::string& payload);
+  void append_record(const EventRecord& record);
   void flusher_main();
   /// Writes `batch` fully to fd_ (restarting across EINTR/short writes).
   void write_all(const std::string& batch);

@@ -294,9 +294,7 @@ class Reactor {
         }
         m_stats_requests_.inc();
         dist::StatsReplyMsg reply;
-        for (const obs::StatEntry& entry : registry_.snapshot().flatten()) {
-          reply.entries.push_back({entry.kind, entry.name, entry.value});
-        }
+        reply.entries = registry_.snapshot().flatten();
         dist::append_frame(conn.outbuf, dist::MsgType::kStatsReply,
                            dist::encode_stats_reply(reply));
         return;

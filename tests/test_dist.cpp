@@ -134,6 +134,8 @@ TEST(Messages, ValidateHelloRejectsEveryMismatch) {
   const auto magic_error = validate_hello(bad_magic, hello.schema);
   ASSERT_TRUE(magic_error.has_value());
   EXPECT_NE(magic_error->find("magic"), std::string::npos);
+  EXPECT_NE(magic_error->find("0x12345678"), std::string::npos)
+      << *magic_error;
 
   HelloMsg bad_version = hello;
   bad_version.protocol_version = kProtocolVersion + 1;
@@ -216,7 +218,7 @@ TEST(Messages, StatsReplyCountBeyondPayloadIsRejectedBeforeAllocating) {
   // One entry declared and present decodes; two declared, one present,
   // does not.
   StatsReplyMsg one;
-  one.entries.push_back({StatsEntry::kCounter, "a.b", 5});
+  one.entries.push_back({obs::kStatCounter, "a.b", 5});
   const std::string payload = encode_stats_reply(one);
   ASSERT_EQ(decode_stats_reply(payload).entries.size(), 1u);
   std::string two_claimed = payload;

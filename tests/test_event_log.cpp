@@ -306,6 +306,53 @@ TEST(EventLogReader, StructuralCorruptionThrows) {
   }
 }
 
+// The one record codec the log writer, the log reader and the replay
+// preamble share: what append_event_record writes, scan_event_records
+// reads back whole, field for field, consuming every byte.
+TEST(EventRecordCodec, EncodedRecordsScanBackEqual) {
+  EventRecord decision;
+  decision.type = EventType::kDecision;
+  decision.decision_id = 0x0102030405060708ull;
+  decision.key = "user-with-a-longer-key";
+  decision.action = 11;
+  decision.propensity = 0.1;
+  EventRecord feedback;
+  feedback.type = EventType::kFeedback;
+  feedback.decision_id = decision.decision_id;
+  feedback.reward = 0.75;
+
+  std::string bytes;
+  append_event_record(bytes, decision);
+  append_event_record(bytes, feedback);
+
+  std::vector<EventRecord> records;
+  EXPECT_EQ(scan_event_records(bytes, records), bytes.size());
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].type, decision.type);
+  EXPECT_EQ(records[0].decision_id, decision.decision_id);
+  EXPECT_EQ(records[0].key, decision.key);
+  EXPECT_EQ(records[0].action, decision.action);
+  EXPECT_EQ(records[0].propensity, decision.propensity);
+  EXPECT_EQ(records[1].type, feedback.type);
+  EXPECT_EQ(records[1].decision_id, feedback.decision_id);
+  EXPECT_EQ(records[1].reward, feedback.reward);
+  EXPECT_EQ(bytes.size() - (5 + 8 + 4 + decision.key.size() + 4 + 8),
+            kMinEventRecordBytes);
+
+  // The writer frames records with this same encoder: a log file is the
+  // header followed by exactly these bytes.
+  TempDir dir;
+  const std::string path = dir.file("codec.ncbl");
+  {
+    EventLog log({path});
+    log.append_decision(decision.decision_id, decision.key, decision.action,
+                        decision.propensity);
+    log.append_feedback(feedback.decision_id, feedback.reward);
+    log.close();
+  }
+  EXPECT_EQ(read_bytes(path).substr(8), bytes);
+}
+
 TEST(EventLog, EmptyPathAndUnwritableDirectoryThrow) {
   EXPECT_THROW(EventLog({std::string()}), std::runtime_error);
   EXPECT_THROW(EventLog({"/nonexistent-dir-ncb/x.ncbl"}), std::runtime_error);

@@ -11,7 +11,8 @@
 //  - replaying the same log twice is bit-identical, down to the rendered
 //    panel JSON bytes;
 //  - a replay worker refuses an announced event stream its chunks could
-//    not carry instead of trying to reserve it.
+//    not carry instead of trying to reserve it, and refuses an event
+//    chunk whose last record is cut short.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -381,24 +383,11 @@ TEST(ReplayEmitters, PanelDocumentShapeAndDeterminism) {
   EXPECT_EQ(doc, exp::render_replay_panel_json(meta, {line, line}));
 }
 
-TEST(ReplayWorker, RejectsAnAnnouncedStreamItsChunksCannotCarry) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  int exit_code = -1;
-  std::thread worker([&] {
-    replay::ReplayWorkerOptions options;
-    options.fd = sv[1];
-    exit_code = replay::run_replay_worker(options);
-    ::close(sv[1]);
-  });
-
-  // Admit the worker, then announce 2^40 records in a single chunk.
-  const auto hello = dist::read_frame(sv[0]);
-  const auto info = dist::read_frame(sv[0]);
-  EXPECT_TRUE(hello && hello->type == dist::MsgType::kHello);
-  EXPECT_TRUE(info && info->type == dist::MsgType::kWorkerInfo);
-  dist::write_frame(sv[0], dist::MsgType::kHelloAck,
-                    dist::encode_hello_ack());
+// A ReplayInit written field by field, as a coordinator would send it, for
+// a 4-arm graph and an event stream of `chunks` chunks, `total_records`
+// records in all.
+std::string hand_written_replay_init(std::uint32_t chunks,
+                                     std::uint64_t total_records) {
   dist::WireWriter init;
   init.put_double(0.1);                   // epsilon
   init.put_u64(7);                        // seed
@@ -410,19 +399,85 @@ TEST(ReplayWorker, RejectsAnAnnouncedStreamItsChunksCannotCarry) {
   init.put_u64(7);                        // graph seed
   init.put_double(0.5);                   // model arm average
   init.put_u64(0);                        // arm model entries
-  init.put_u32(1);                        // chunks
-  init.put_u64(std::uint64_t{1} << 40);   // total records
-  dist::write_frame(sv[0], dist::MsgType::kReplayInit, init.take());
+  init.put_u32(chunks);
+  init.put_u64(total_records);
+  return init.take();
+}
 
-  const auto reply = dist::read_frame(sv[0]);
+struct WorkerOutcome {
+  std::optional<dist::Frame> reply;
+  int exit_code = -1;
+};
+
+// Plays the coordinator against an in-process replay worker: admits it,
+// sends `frames`, and returns the worker's first reply and its exit code.
+WorkerOutcome run_fake_coordinator(const std::vector<dist::Frame>& frames) {
+  int sv[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  WorkerOutcome outcome;
+  std::thread worker([&] {
+    replay::ReplayWorkerOptions options;
+    options.fd = sv[1];
+    outcome.exit_code = replay::run_replay_worker(options);
+    ::close(sv[1]);
+  });
+
+  const auto hello = dist::read_frame(sv[0]);
+  const auto info = dist::read_frame(sv[0]);
+  EXPECT_TRUE(hello && hello->type == dist::MsgType::kHello);
+  EXPECT_TRUE(info && info->type == dist::MsgType::kWorkerInfo);
+  dist::write_frame(sv[0], dist::MsgType::kHelloAck,
+                    dist::encode_hello_ack());
+  for (const dist::Frame& frame : frames) {
+    dist::write_frame(sv[0], frame.type, frame.payload);
+  }
+
+  outcome.reply = dist::read_frame(sv[0]);
   ::close(sv[0]);
   worker.join();
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->type, dist::MsgType::kWorkerError);
-  const std::string message =
-      dist::decode_worker_error(reply->payload).message;
+  return outcome;
+}
+
+std::string worker_error_message(const WorkerOutcome& outcome) {
+  EXPECT_TRUE(outcome.reply.has_value());
+  if (!outcome.reply) return "";
+  EXPECT_EQ(outcome.reply->type, dist::MsgType::kWorkerError);
+  return dist::decode_worker_error(outcome.reply->payload).message;
+}
+
+TEST(ReplayWorker, RejectsAnAnnouncedStreamItsChunksCannotCarry) {
+  // 2^40 records announced in a single chunk.
+  const WorkerOutcome outcome = run_fake_coordinator(
+      {{dist::MsgType::kReplayInit,
+        hand_written_replay_init(1, std::uint64_t{1} << 40)}});
+  const std::string message = worker_error_message(outcome);
   EXPECT_NE(message.find("cannot fit"), std::string::npos) << message;
-  EXPECT_EQ(exit_code, 1);
+  EXPECT_EQ(outcome.exit_code, 1);
+}
+
+TEST(ReplayWorker, RejectsAChunkWhoseLastRecordIsCutShort) {
+  // A ReplayEvents chunk is a slice of an event log: two records as the
+  // log file stores them, the second missing its final byte. The file
+  // reader would keep the first and call the second a torn tail; the
+  // worker must refuse the chunk.
+  std::string records;
+  serve::append_event_record(
+      records, {serve::EventType::kDecision, 1, "u1", 2, 0.5, 0.0});
+  serve::append_event_record(
+      records, {serve::EventType::kFeedback, 1, "", kNoArm, 0.0, 1.0});
+  records.pop_back();
+  dist::WireWriter chunk;
+  chunk.put_u32(0);  // chunk index
+  chunk.put_u32(2);  // records
+  const std::string events = chunk.take() + records;
+
+  const WorkerOutcome outcome =
+      run_fake_coordinator({{dist::MsgType::kReplayInit,
+                             hand_written_replay_init(1, 2)},
+                            {dist::MsgType::kReplayEvents, events}});
+  const std::string message = worker_error_message(outcome);
+  EXPECT_NE(message.find("torn"), std::string::npos) << message;
+  EXPECT_EQ(outcome.exit_code, 1);
 }
 
 }  // namespace

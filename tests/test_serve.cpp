@@ -378,7 +378,7 @@ dist::StatsReplyMsg poll_stats_once(int fd) {
 /// the NCB_NO_METRICS configuration (its tests compile out).
 [[maybe_unused]] std::int64_t stat_value(const dist::StatsReplyMsg& reply,
                                          const std::string& name) {
-  for (const dist::StatsEntry& entry : reply.entries) {
+  for (const obs::StatEntry& entry : reply.entries) {
     if (entry.name == name) return static_cast<std::int64_t>(entry.value);
   }
   return -1;

@@ -10,7 +10,7 @@
 #include <set>
 #include <sstream>
 
-#include "core/policy_factory.hpp"
+#include "core/policy_registry.hpp"
 #include "exp/emitters.hpp"
 #include "exp/shard_scheduler.hpp"
 #include "exp/sweep_runner.hpp"
@@ -381,7 +381,8 @@ TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
   options.master_seed = job.config.seed;
   options.runner.horizon = job.config.horizon;
   const auto make = [&](std::uint64_t seed) {
-    return make_single_play_policy(job.policy, job.config.horizon, seed);
+    return PolicyRegistry::instance().make_single_play(
+        job.policy, job.config.horizon, seed);
   };
   const ReplicatedResult sequential =
       run_sharded_single(make, instance, Scenario::kSso, options);
@@ -407,7 +408,8 @@ TEST(ShardedReplication, PoolPresenceDoesNotChangeBits) {
   cso_options.master_seed = cso.seed;
   cso_options.runner.horizon = cso.horizon;
   const auto make_cso = [&](std::uint64_t seed) {
-    return make_combinatorial_policy("dfl-cso", family, seed);
+    return PolicyRegistry::instance().make_combinatorial(
+        "dfl-cso", family, seed);
   };
   const ReplicatedResult cso_sequential = run_sharded_combinatorial(
       make_cso, cso_instance, *family, Scenario::kCso, cso_options);
