@@ -152,6 +152,36 @@ void BM_SelectIncrementalVsRecompute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// UCB1 select + played-arm observe at K = 10^4 in steady state (warmed up
+// until every arm has been played once; continuous rewards, each arm's
+// mean drawn uniformly, plus uniform noise): the group-bound scan against
+// a forced full evaluation (invalidate_index_cache() before every select),
+// which stands in for the K-wide refresh every select paid before bounds.
+void BM_Ucb1SelectSteadyState(benchmark::State& state) {
+  const std::size_t k = 10000;
+  const bool recompute = state.range(0) != 0;
+  const auto policy =
+      PolicyRegistry::instance().make_single_play("ucb1", 1 << 20, 7);
+  auto* idx = dynamic_cast<SingleIndexPolicy*>(policy.get());
+  policy->reset(Graph(k));
+  Xoshiro256 rng(9);
+  std::vector<double> means(k);
+  for (double& m : means) m = rng.uniform();
+  TimeSlot t = 0;
+  const auto step = [&] {
+    ++t;
+    if (recompute) idx->invalidate_index_cache();
+    const ArmId a = policy->select(t);
+    const Observation obs{
+        a, means[static_cast<std::size_t>(a)] + rng.uniform() - 0.5};
+    policy->observe(a, t, ObservationSpan(&obs, 1));
+    return a;
+  };
+  for (std::size_t i = 0; i < k; ++i) (void)step();
+  for (auto _ : state) benchmark::DoNotOptimize(step());
+  state.SetItemsProcessed(state.iterations());
+}
+
 void BM_ErdosRenyi(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   Xoshiro256 rng(1);
@@ -249,6 +279,9 @@ BENCHMARK(BM_SelectIncrementalVsRecompute)
     ->Args({400, 300, 1})
     ->Args({10000, 2, 0})
     ->Args({10000, 2, 1});
+
+// Arg: 1 = force full evaluation each select.
+BENCHMARK(BM_Ucb1SelectSteadyState)->Arg(0)->Arg(1);
 
 BENCHMARK(BM_ErdosRenyi)->Arg(100)->Arg(400);
 BENCHMARK(BM_GraphFromEdgeList)->Arg(100)->Arg(400);

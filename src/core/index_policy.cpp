@@ -16,6 +16,16 @@ struct LaterExpiry {
   }
 };
 
+/// Look-ahead slot t' = t + t/512 a group bound computed at t stays valid
+/// for. Longer look-aheads loosen the bounds until few groups can be
+/// skipped; shorter ones recompute them more often.
+TimeSlot bound_horizon(TimeSlot t) {
+  const TimeSlot step = std::max<TimeSlot>(t / 512, 0);
+  return t > std::numeric_limits<TimeSlot>::max() - step
+             ? std::numeric_limits<TimeSlot>::max()
+             : t + step;
+}
+
 }  // namespace
 
 void SingleIndexPolicy::reset(const Graph& graph) {
@@ -25,12 +35,18 @@ void SingleIndexPolicy::reset(const Graph& graph) {
   dirty_flag_.assign(num_arms_, 0);
   dirty_list_.clear();
   valid_until_.assign(num_arms_, 0);
+  const std::size_t groups =
+      (num_arms_ + kIndexGroupSize - 1) / kIndexGroupSize;
+  group_bound_.assign(groups, std::numeric_limits<double>::infinity());
+  group_bound_until_.assign(groups, 0);
+  group_skipped_.assign(groups, 0);
   expiry_heap_.clear();
   sched_vu_.assign(num_arms_, kIndexValidForever);
   hot_list_.clear();
   all_dirty_ = true;
   last_select_t_ = std::numeric_limits<TimeSlot>::min();
   tie_break_draws_ = 0;
+  groups_evaluated_ = 0;
   on_reset(graph);
 }
 
@@ -40,21 +56,73 @@ ArmId SingleIndexPolicy::select(TimeSlot t) {
   }
   before_select(t);
   double* cache = cached_indices_.data();
+  std::size_t best = 0;
   if (refresh_mode() == IndexRefreshMode::kEveryRound) {
-    refresh_all_indices(t, cache);
+    best = select_every_round(t, cache);
   } else {
     refresh_incremental(t, cache);
+    best = reservoir_argmax(cache, num_arms_, rng_, &tie_break_draws_);
   }
   last_select_t_ = t;
-  const std::size_t best =
-      reservoir_argmax(cache, num_arms_, rng_, &tie_break_draws_);
   return refine_selection(static_cast<ArmId>(best));
 }
 
-void SingleIndexPolicy::refresh_all_indices(TimeSlot t, double* out) const {
-  for (std::size_t k = 0; k < num_arms_; ++k) {
+const std::vector<double>& SingleIndexPolicy::cached_indices() const {
+  for (std::size_t g = 0; g < group_skipped_.size(); ++g) {
+    if (group_skipped_[g] == 0) continue;
+    const std::size_t first = g * kIndexGroupSize;
+    (void)refresh_indices(last_select_t_, last_select_t_, first,
+                          std::min(first + kIndexGroupSize, num_arms_),
+                          cached_indices_.data());
+    group_skipped_[g] = 0;
+  }
+  return cached_indices_;
+}
+
+double SingleIndexPolicy::refresh_indices(TimeSlot t, TimeSlot /*horizon*/,
+                                          std::size_t first, std::size_t last,
+                                          double* out) const {
+  for (std::size_t k = first; k < last; ++k) {
     out[k] = index(static_cast<ArmId>(k), t);
   }
+  return std::numeric_limits<double>::infinity();
+}
+
+std::size_t SingleIndexPolicy::select_every_round(TimeSlot t, double* cache) {
+  // After reset() or invalidate_index_cache() every group is evaluated.
+  const bool full = all_dirty_;
+  all_dirty_ = false;
+  for (const ArmId i : dirty_list_) {
+    const auto k = static_cast<std::size_t>(i);
+    // An observed arm's old bound no longer holds: never skip its group
+    // until an evaluation computes a new one.
+    group_bound_[k / kIndexGroupSize] = std::numeric_limits<double>::infinity();
+    dirty_flag_[k] = 0;
+  }
+  dirty_list_.clear();
+  const TimeSlot horizon = bound_horizon(t);
+  ArgmaxState state;
+  for (std::size_t g = 0; g < group_bound_.size(); ++g) {
+    // Strictly below: no index in the group can move or tie the maximum.
+    if (!full && t <= group_bound_until_[g] &&
+        group_bound_[g] < state.best_score) {
+      group_skipped_[g] = 1;
+      continue;
+    }
+    const std::size_t first = g * kIndexGroupSize;
+    const std::size_t last = std::min(first + kIndexGroupSize, num_arms_);
+    group_bound_[g] = refresh_indices(t, horizon, first, last, cache);
+    group_bound_until_[g] = horizon;
+    group_skipped_[g] = 0;
+    ++groups_evaluated_;
+    // As in reservoir_argmax: only a group that can reach the maximum
+    // needs the exact loop.
+    if (block_max(cache, first, last) >= state.best_score) {
+      reservoir_scan(cache, first, last, state, rng_);
+    }
+  }
+  tie_break_draws_ += state.draws;
+  return state.best;
 }
 
 void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {

@@ -7,14 +7,39 @@
 // just the index formula and the statistics it reads.
 //
 // select() never evaluates the virtual index() per arm. It maintains a flat
-// per-arm index array and runs the block-vectorized reservoir argmax
-// (util/argmax.hpp) over it; how the array is kept current is the policy's
-// IndexRefreshMode:
+// per-arm index array and runs the reservoir argmax (util/argmax.hpp) over
+// it; how the array is kept current is the policy's IndexRefreshMode:
 //
 //  * kEveryRound — the index depends on t every slot (UCB1's ln t, KL-UCB's
-//    budget). select() bulk-refreshes the whole array through one virtual
-//    refresh_all_indices() call, which hoists the per-round shared terms
-//    (log t, the KL budget) out of the per-arm loop.
+//    budget). The arms are cut into fixed groups of kIndexGroupSize
+//    consecutive arms, and each group keeps an upper bound on every index
+//    in it, valid up to a look-ahead slot t' = t + t/512 of the select
+//    that computed it. select() walks the groups in arm order carrying one
+//    ArgmaxState. A group whose bound is strictly below the running
+//    maximum is skipped. Any other group is evaluated by the range refresh
+//    refresh_indices(t, t', first, last, out), which hoists the per-round
+//    shared terms (log t, the KL budget) out of the per-arm loop, and is
+//    folded into the state by the reservoir scan. A group is evaluated
+//    regardless of its bound when it holds an arm observed since the last
+//    select (the dirty marks), when t has passed its t', and on the select
+//    after reset() or invalidate_index_cache().
+//
+//    The bound is the bound hook: refresh_indices() returns, along with
+//    the exact indices, an upper bound on them at every slot up to t'
+//    while the arms' statistics stay unchanged, so it needs an index that
+//    is nondecreasing in t between observations. Evaluating a group
+//    therefore always renews its bound at no extra pass. The default
+//    bound, +inf, never lets a group be skipped: every index is evaluated,
+//    as any t-dependent policy without a bound needs. UCB1 and UCB-N
+//    supply one; an unplayed arm (index +inf) makes its group's bound +inf.
+//
+//    Skipping is exact: every index in a skipped group is at most its
+//    bound, which is below the running maximum, so the historical loop
+//    would have neither moved the maximum nor counted a tie there — no
+//    comparison outcome and no tie-break draw changes. A NaN index never
+//    wins and never ties, so it may be left out of its group's bound. The
+//    argmax, the RNG draw sequence and tie_break_draws() are those of a
+//    full evaluation.
 //  * kIncremental — the index of an untouched arm is constant until a known
 //    future slot (the DFL family: width = sqrt(log⁺(t/(K·O_i))/O_i) is
 //    exactly zero while t ≤ K·O_i, so the index sits at the empirical mean
@@ -37,6 +62,7 @@
 // observe() to filter.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -50,7 +76,7 @@ namespace ncb {
 
 /// How a policy's cached per-arm indices age between selects.
 enum class IndexRefreshMode {
-  kEveryRound,   ///< t-dependent every slot: bulk refresh per select.
+  kEveryRound,   ///< t-dependent every slot: group-bound scan per select.
   kIncremental,  ///< changes only on observation or plateau expiry.
 };
 
@@ -58,6 +84,9 @@ enum class IndexRefreshMode {
 /// dirty-marking (an observation touching the arm) invalidates it.
 inline constexpr TimeSlot kIndexValidForever =
     std::numeric_limits<TimeSlot>::max();
+
+/// Arms per kEveryRound bound group (the last group may be shorter).
+inline constexpr std::size_t kIndexGroupSize = 32;
 
 /// One incremental refresh: the new index value and the last slot it stays
 /// valid for, assuming the arm's statistics do not change in between.
@@ -81,13 +110,20 @@ class SingleIndexPolicy : public SinglePlayPolicy {
     return tie_break_draws_;
   }
 
-  /// The per-arm index array as of the last select() (diagnostics/tests).
-  [[nodiscard]] const std::vector<double>& cached_indices() const noexcept {
-    return cached_indices_;
+  /// Bound groups whose exact indices select() evaluated since the last
+  /// reset() (kEveryRound; a full evaluation counts every group).
+  [[nodiscard]] std::uint64_t groups_evaluated() const noexcept {
+    return groups_evaluated_;
   }
 
+  /// The per-arm index array as of the last select() (diagnostics/tests).
+  /// Groups that select skipped are filled in here, at the last select's
+  /// slot and from the statistics current at the call — the same values
+  /// unless one of their arms was observed since.
+  [[nodiscard]] const std::vector<double>& cached_indices() const;
+
   /// Test/bench hook: drops every cached value so the next select() does a
-  /// full from-scratch rebuild.
+  /// full from-scratch rebuild (every index evaluated, no group skipped).
   void invalidate_index_cache() noexcept { all_dirty_ = true; }
 
  protected:
@@ -112,11 +148,18 @@ class SingleIndexPolicy : public SinglePlayPolicy {
     return IndexRefreshMode::kEveryRound;
   }
 
-  /// Bulk refresh: writes the index of every arm at slot t into
-  /// out[0, num_arms_). The default loops over the virtual index();
-  /// kEveryRound policies override it to hoist per-round shared terms and
-  /// stream the SoA stat arrays.
-  virtual void refresh_all_indices(TimeSlot t, double* out) const;
+  /// Range refresh: writes the index of every arm in [first, last) at slot
+  /// t into out[first, last), and returns an upper bound on those arms'
+  /// indices at every slot up to `horizon` (≥ t), valid while their
+  /// statistics stay unchanged — the kEveryRound skip hook. An unplayed
+  /// arm (index +inf) makes the bound +inf; a NaN index may be left out of
+  /// it. The default loops over the virtual index() and returns +inf,
+  /// which never lets select() skip the range. kEveryRound policies
+  /// override it to hoist per-round shared terms and stream the SoA stat
+  /// arrays.
+  virtual double refresh_indices(TimeSlot t, TimeSlot horizon,
+                                 std::size_t first, std::size_t last,
+                                 double* out) const;
 
   /// Incremental refresh of one stale arm (kIncremental policies must
   /// override). The returned value must equal index(i, t) numerically, and
@@ -143,12 +186,20 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   Xoshiro256 rng_;
 
  private:
+  [[nodiscard]] std::size_t select_every_round(TimeSlot t, double* cache);
   void refresh_incremental(TimeSlot t, double* cache);
   void rebuild_cache(TimeSlot t, double* cache);
   void schedule_expiry(ArmId i, TimeSlot valid_until);
   void purge_expiry_heap();
 
-  std::vector<double> cached_indices_;
+  mutable std::vector<double> cached_indices_;
+  // kEveryRound group bounds: group_bound_[g] covers every slot up to
+  // group_bound_until_[g]; +inf once one of the group's arms is observed.
+  // group_skipped_ flags groups whose cached_indices_ entries the last
+  // select skipped.
+  std::vector<double> group_bound_;
+  std::vector<TimeSlot> group_bound_until_;
+  mutable std::vector<std::uint8_t> group_skipped_;
   std::vector<std::uint8_t> dirty_flag_;  // per-arm "already in dirty_list_"
   std::vector<ArmId> dirty_list_;
   std::vector<TimeSlot> valid_until_;     // authoritative per-arm expiry
@@ -168,6 +219,7 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   bool all_dirty_ = true;
   TimeSlot last_select_t_ = std::numeric_limits<TimeSlot>::min();
   std::uint64_t tie_break_draws_ = 0;
+  std::uint64_t groups_evaluated_ = 0;
   std::uint64_t seed_;
 };
 

@@ -45,7 +45,9 @@ double KlUcb::index(ArmId i, TimeSlot t) const {
   return kl_upper_bound(stats_.mean(i), static_cast<double>(count), lt + llt);
 }
 
-void KlUcb::refresh_all_indices(TimeSlot t, double* out) const {
+double KlUcb::refresh_indices(TimeSlot t, TimeSlot /*horizon*/,
+                              std::size_t first, std::size_t last,
+                              double* out) const {
   // The exploration budget ln t + c·ln ln t is shared by every arm; the
   // per-arm work is just the bisection on its own (mean, count).
   const double lt = std::log(std::max<double>(static_cast<double>(t), 1.0));
@@ -54,12 +56,13 @@ void KlUcb::refresh_all_indices(TimeSlot t, double* out) const {
   const double budget = lt + llt;
   const std::int64_t* counts = stats_.counts();
   const double* means = stats_.means();
-  for (std::size_t k = 0; k < num_arms_; ++k) {
+  for (std::size_t k = first; k < last; ++k) {
     out[k] = counts[k] == 0
                  ? std::numeric_limits<double>::infinity()
                  : kl_upper_bound(means[k], static_cast<double>(counts[k]),
                                   budget);
   }
+  return std::numeric_limits<double>::infinity();
 }
 
 void KlUcb::observe(ArmId played, TimeSlot t, ObservationSpan observations) {

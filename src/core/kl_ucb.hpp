@@ -36,9 +36,10 @@ class KlUcb final : public ArmStatIndexPolicy {
                                              double budget) noexcept;
 
  protected:
-  /// Bulk refresh with the ln t + c·ln ln t budget hoisted out of the
-  /// per-arm bisection loop.
-  void refresh_all_indices(TimeSlot t, double* out) const override;
+  /// Range refresh with the ln t + c·ln ln t budget hoisted out of the
+  /// per-arm bisection loop. No bound (+inf): every index is evaluated.
+  double refresh_indices(TimeSlot t, TimeSlot horizon, std::size_t first,
+                         std::size_t last, double* out) const override;
 
  private:
   KlUcbOptions options_;

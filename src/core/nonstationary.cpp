@@ -123,7 +123,9 @@ double DiscountedDflSso::index(ArmId i, TimeSlot t) const {
   return discounted_mean(i) + exploration_width(ratio, count);
 }
 
-void DiscountedDflSso::refresh_all_indices(TimeSlot t, double* out) const {
+double DiscountedDflSso::refresh_indices(TimeSlot t, TimeSlot /*horizon*/,
+                                         std::size_t first, std::size_t last,
+                                         double* out) const {
   // Effective horizon under discounting: 1/(1-γ) once saturated. Shared by
   // every arm, so computed once per round.
   const double effective_t =
@@ -131,7 +133,7 @@ void DiscountedDflSso::refresh_all_indices(TimeSlot t, double* out) const {
           ? std::min(static_cast<double>(t), 1.0 / (1.0 - options_.discount))
           : static_cast<double>(t);
   const double k_arms = static_cast<double>(num_arms_);
-  for (std::size_t i = 0; i < num_arms_; ++i) {
+  for (std::size_t i = first; i < last; ++i) {
     if (counts_[i] <= 1e-12) {
       out[i] = std::numeric_limits<double>::infinity();
       continue;
@@ -139,6 +141,7 @@ void DiscountedDflSso::refresh_all_indices(TimeSlot t, double* out) const {
     const double ratio = effective_t / (k_arms * counts_[i]);
     out[i] = sums_[i] / counts_[i] + exploration_width(ratio, counts_[i]);
   }
+  return std::numeric_limits<double>::infinity();
 }
 
 void DiscountedDflSso::observe(ArmId /*played*/, TimeSlot /*t*/,

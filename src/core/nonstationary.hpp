@@ -87,7 +87,9 @@ class DiscountedDflSso final : public SingleIndexPolicy {
   void on_reset(const Graph& graph) override;
   /// Decay touches every arm every slot, so the index stays on the
   /// every-round path; the effective horizon min(t, 1/(1-γ)) is hoisted.
-  void refresh_all_indices(TimeSlot t, double* out) const override;
+  /// No bound (+inf): every index is evaluated.
+  double refresh_indices(TimeSlot t, TimeSlot horizon, std::size_t first,
+                         std::size_t last, double* out) const override;
 
  private:
   DiscountedDflSsoOptions options_;

@@ -6,7 +6,7 @@
 // (they degrade as Δ_min → 0), which is the gap DFL-SSO closes.
 #pragma once
 
-#include "core/index_policy.hpp"
+#include "core/ucb1.hpp"
 
 namespace ncb {
 
@@ -18,22 +18,19 @@ struct UcbNOptions {
   std::uint64_t seed = 0x5eed0cbe;
 };
 
-class UcbN final : public ArmStatIndexPolicy {
+class UcbN final : public UcbIndexPolicy {
  public:
   explicit UcbN(UcbNOptions options = {});
 
-  [[nodiscard]] double index(ArmId i, TimeSlot t) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::string describe() const override;
 
  protected:
   void on_reset(const Graph& graph) override;
   [[nodiscard]] ArmId refine_selection(ArmId best) override;
-  /// Bulk refresh with ln t hoisted out of the per-arm loop.
-  void refresh_all_indices(TimeSlot t, double* out) const override;
 
  private:
-  UcbNOptions options_;
+  bool max_variant_;
   Graph graph_{0};  // copied at reset(); no external lifetime requirement
 };
 

@@ -1,5 +1,6 @@
 #include "serve/decision_engine.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/policy_registry.hpp"
@@ -36,7 +37,9 @@ DecisionEngine::DecisionEngine(Graph graph, const EngineOptions& options,
       m_unknown_(
           engine_registry(options).counter("serve.engine.unknown_feedbacks")),
       m_duplicates_(engine_registry(options).counter(
-          "serve.engine.duplicate_feedbacks")) {
+          "serve.engine.duplicate_feedbacks")),
+      m_nonfinite_(engine_registry(options).counter(
+          "serve.engine.nonfinite_rewards")) {
   if (graph_.num_vertices() == 0) {
     throw std::invalid_argument("decision engine: empty graph");
   }
@@ -87,6 +90,13 @@ Decision DecisionEngine::decide(const std::string& user_key,
 
 bool DecisionEngine::report(std::uint64_t decision_id, double reward) {
   std::lock_guard<std::mutex> lock(mutex_);
+  // A NaN or infinite reward would poison the arm's mean for the rest of
+  // the run, and every replay of the log would inherit it. The decision
+  // stays pending, so a later finite reward can still join it.
+  if (!std::isfinite(reward)) {
+    m_nonfinite_.inc();
+    return false;
+  }
   const auto it = pending_.find(decision_id);
   if (it == pending_.end()) {
     // Issued-but-not-pending means the reward already arrived: a duplicate.

@@ -82,7 +82,8 @@ class DecisionEngine {
 
   /// Joins a reward to a decision and feeds the policy online. Returns
   /// false (and changes nothing) for an unknown or already-reported
-  /// decision_id.
+  /// decision_id, and for a NaN or infinite reward — which is counted in
+  /// serve.engine.nonfinite_rewards only, neither observed nor logged.
   bool report(std::uint64_t decision_id, double reward);
 
   [[nodiscard]] std::size_t num_arms() const noexcept;
@@ -115,12 +116,14 @@ class DecisionEngine {
   std::uint64_t unknown_feedbacks_ = 0;
   std::uint64_t duplicate_feedbacks_ = 0;
 
-  // Registry mirrors of the counters above (references resolved once in
-  // the constructor; increments are relaxed atomics on the hot path).
+  // Registry mirrors of the counters above, plus m_nonfinite_, which has
+  // no plain twin (references resolved once in the constructor; increments
+  // are relaxed atomics on the hot path).
   obs::Counter& m_decisions_;
   obs::Counter& m_feedbacks_;
   obs::Counter& m_unknown_;
   obs::Counter& m_duplicates_;
+  obs::Counter& m_nonfinite_;
 };
 
 }  // namespace ncb::serve

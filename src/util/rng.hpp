@@ -36,7 +36,17 @@ class Xoshiro256 {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double uniform() noexcept;
@@ -44,8 +54,23 @@ class Xoshiro256 {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
 
-  /// Uniform integer in [0, n). Requires n > 0.
-  std::uint64_t uniform_int(std::uint64_t n) noexcept;
+  /// Uniform integer in [0, n). Requires n > 0. Inline, like operator():
+  /// argmax tie-breaking draws one per tied score, up to K per select.
+  std::uint64_t uniform_int(std::uint64_t n) noexcept {
+    // Lemire's multiply-shift with rejection to remove modulo bias.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < n) {
+      const std::uint64_t threshold = (~n + 1) % n;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
@@ -67,6 +92,10 @@ class Xoshiro256 {
   void long_jump() noexcept;
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

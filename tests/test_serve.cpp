@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -260,6 +261,61 @@ TEST(DecisionEngine, UnknownAndDuplicateFeedbackAreRejected) {
   EXPECT_EQ(engine.unknown_feedbacks(), 1u);   // the never-issued id
   EXPECT_EQ(engine.duplicate_feedbacks(), 1u); // the re-reported one
   EXPECT_EQ(engine.feedbacks(), 1u);
+}
+
+TEST(DecisionEngine, NonFiniteRewardsAreRejectedWithoutTrace) {
+  // Two engines with logs see the same decide/report sequence; one also
+  // gets NaN and ±inf rewards for some decisions before their finite one.
+  // The rejected rewards must leave no mark: same decisions, same log
+  // bytes, and the decision still joins its later finite reward.
+  TempDir dir;
+  obs::MetricsRegistry registry;
+  const auto run = [&](const std::string& path, bool send_nonfinite) {
+    std::vector<Decision> decisions;
+    {
+      EventLog log({path});
+      EngineOptions options;
+      options.policy_spec = "eps-greedy:eps=0";
+      options.epsilon = 0.2;
+      options.seed = 31;
+      if (send_nonfinite) options.metrics = &registry;
+      DecisionEngine engine(ring_graph(6), options, &log);
+      for (int i = 0; i < 200; ++i) {
+        const Decision d = engine.decide("user-" + std::to_string(i % 5));
+        decisions.push_back(d);
+        if (send_nonfinite && i % 7 == 3) {
+          EXPECT_FALSE(engine.report(d.decision_id,
+                                     std::numeric_limits<double>::quiet_NaN()));
+          EXPECT_FALSE(engine.report(
+              d.decision_id, std::numeric_limits<double>::infinity()));
+          EXPECT_FALSE(engine.report(
+              d.decision_id, -std::numeric_limits<double>::infinity()));
+        }
+        EXPECT_TRUE(engine.report(d.decision_id,
+                                  static_cast<double>(d.action % 3) / 2.0));
+      }
+      EXPECT_EQ(engine.feedbacks(), 200u);
+      EXPECT_EQ(engine.unknown_feedbacks(), 0u);
+      EXPECT_EQ(engine.duplicate_feedbacks(), 0u);
+      log.close();
+    }
+    return decisions;
+  };
+  const std::vector<Decision> clean = run(dir.file("clean.ncbl"), false);
+  const std::vector<Decision> mixed = run(dir.file("mixed.ncbl"), true);
+  ASSERT_EQ(clean.size(), mixed.size());
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    ASSERT_EQ(clean[i].decision_id, mixed[i].decision_id) << i;
+    ASSERT_EQ(clean[i].action, mixed[i].action) << i;
+    ASSERT_EQ(clean[i].propensity, mixed[i].propensity) << i;
+  }
+  EXPECT_EQ(read_bytes(dir.file("clean.ncbl")),
+            read_bytes(dir.file("mixed.ncbl")));
+#ifndef NCB_NO_METRICS
+  // 29 decisions (i % 7 == 3 for i < 200), three rejected rewards each.
+  EXPECT_EQ(registry.counter("serve.engine.nonfinite_rewards").value(), 87u);
+  EXPECT_EQ(registry.counter("serve.engine.feedbacks").value(), 200u);
+#endif
 }
 
 TEST(DecisionEngine, IdenticalCallSequencesAreBitIdentical) {
