@@ -3,15 +3,21 @@
 // clique cover, strategy-graph build, oracle calls), plus the observe-path
 // delivery comparison (one batched span per slot vs one singleton span per
 // edge) on a dense ER graph — the before/after evidence for the batched
-// ObservationSpan API.
+// ObservationSpan API — plus the serving dynamics: one DecisionEngine
+// decide + report per iteration at K = 10^4.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/index_policy.hpp"
 #include "core/policy_registry.hpp"
 #include "graph/clique_cover.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "serve/decision_engine.hpp"
 #include "strategy/oracle.hpp"
 #include "strategy/strategy_graph.hpp"
 #include "util/rng.hpp"
@@ -182,6 +188,51 @@ void BM_Ucb1SelectSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// ncb_serve's feedback pattern in process: lockstep decide + report on a
+// DecisionEngine over ER(K, 0.001) with engine epsilon 0.05, Bernoulli
+// rewards (per-arm means uniform in [0, 1)) and 1000 user keys, so the
+// policy learns only from the served arm. Timed after a 10K-decision
+// warm-up: the engine is built and warmed once per process and policy,
+// and every later run of the benchmark continues it.
+class EngineProbe {
+ public:
+  EngineProbe(const std::string& spec, std::size_t k) : rng_(9), means_(k) {
+    serve::EngineOptions options;
+    options.policy_spec = spec;
+    options.epsilon = 0.05;
+    options.metrics = &registry_;
+    engine_ = std::make_unique<serve::DecisionEngine>(bench_graph(k, 0.001),
+                                                      options);
+    for (double& m : means_) m = rng_.uniform();
+    for (std::size_t i = 0; i < 10 * k; ++i) (void)step();
+  }
+
+  ArmId step() {
+    const serve::Decision d =
+        engine_->decide("user-" + std::to_string(rng_.uniform_int(1000)));
+    const double mu = means_[static_cast<std::size_t>(d.action)];
+    engine_->report(d.decision_id, rng_.bernoulli(mu) ? 1.0 : 0.0);
+    return d.action;
+  }
+
+ private:
+  obs::MetricsRegistry registry_;
+  std::unique_ptr<serve::DecisionEngine> engine_;
+  Xoshiro256 rng_;
+  std::vector<double> means_;
+};
+
+void BM_EngineDecideReport(benchmark::State& state, const std::string& spec) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  static std::map<std::pair<std::string, std::size_t>,
+                  std::unique_ptr<EngineProbe>>
+      probes;
+  auto& probe = probes[{spec, k}];
+  if (!probe) probe = std::make_unique<EngineProbe>(spec, k);
+  for (auto _ : state) benchmark::DoNotOptimize(probe->step());
+  state.SetItemsProcessed(state.iterations());
+}
+
 void BM_ErdosRenyi(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   Xoshiro256 rng(1);
@@ -258,6 +309,9 @@ BENCHMARK_CAPTURE(BM_SinglePolicyStep, ucb1, "ucb1")->Arg(100)->Arg(400);
 BENCHMARK_CAPTURE(BM_SinglePolicyStep, ucb_n, "ucb-n")->Arg(100)->Arg(400);
 BENCHMARK_CAPTURE(BM_SinglePolicyStep, thompson, "thompson")->Arg(100)->Arg(400);
 BENCHMARK_CAPTURE(BM_SinglePolicyStep, exp3, "exp3")->Arg(100)->Arg(400);
+BENCHMARK_CAPTURE(BM_SinglePolicyStep, eps_greedy, "eps-greedy")
+    ->Arg(100)
+    ->Arg(400);
 
 BENCHMARK_CAPTURE(BM_CombinatorialPolicyStep, dfl_cso, "dfl-cso")->Arg(12)->Arg(20);
 BENCHMARK_CAPTURE(BM_CombinatorialPolicyStep, dfl_csr, "dfl-csr")->Arg(12)->Arg(20);
@@ -282,6 +336,14 @@ BENCHMARK(BM_SelectIncrementalVsRecompute)
 
 // Arg: 1 = force full evaluation each select.
 BENCHMARK(BM_Ucb1SelectSteadyState)->Arg(0)->Arg(1);
+
+// Arg: K.
+BENCHMARK_CAPTURE(BM_EngineDecideReport, eps_greedy, "eps-greedy")
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_EngineDecideReport, ucb1, "ucb1")
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_ErdosRenyi)->Arg(100)->Arg(400);
 BENCHMARK(BM_GraphFromEdgeList)->Arg(100)->Arg(400);

@@ -22,6 +22,7 @@ void EpsilonGreedy::reset(const Graph& graph) {
   stats_.reset(num_arms_);
   rng_ = Xoshiro256(options_.seed);
   unvisited_cursor_ = 0;
+  exploit_.reset(num_arms_);
 }
 
 double EpsilonGreedy::epsilon_at(TimeSlot t) const {
@@ -46,9 +47,9 @@ ArmId EpsilonGreedy::select(TimeSlot t) {
   if (rng_.bernoulli(epsilon_at(t))) {
     return static_cast<ArmId>(rng_.uniform_int(num_arms_));
   }
-  // Exploit: the shared block-vectorized argmax over the flat mean array,
-  // with the same reservoir tie-break draw sequence as the historical loop.
-  return static_cast<ArmId>(reservoir_argmax(stats_.means(), num_arms_, rng_));
+  // Exploit: the group walk over the flat mean array, with the same
+  // reservoir tie-break draw sequence as the historical full loop.
+  return static_cast<ArmId>(exploit_.select(stats_.means(), rng_));
 }
 
 void EpsilonGreedy::observe(ArmId played, TimeSlot /*t*/,
@@ -56,6 +57,7 @@ void EpsilonGreedy::observe(ArmId played, TimeSlot /*t*/,
   for (const Observation& obs : observations) {
     if (options_.use_side_observations || obs.arm == played) {
       stats_.add(obs.arm, obs.value);
+      exploit_.mark(static_cast<std::size_t>(obs.arm));
     }
   }
 }

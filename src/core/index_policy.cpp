@@ -35,18 +35,12 @@ void SingleIndexPolicy::reset(const Graph& graph) {
   dirty_flag_.assign(num_arms_, 0);
   dirty_list_.clear();
   valid_until_.assign(num_arms_, 0);
-  const std::size_t groups =
-      (num_arms_ + kIndexGroupSize - 1) / kIndexGroupSize;
-  group_bound_.assign(groups, std::numeric_limits<double>::infinity());
-  group_bound_until_.assign(groups, 0);
-  group_skipped_.assign(groups, 0);
+  argmax_.reset(num_arms_);
   expiry_heap_.clear();
   sched_vu_.assign(num_arms_, kIndexValidForever);
   hot_list_.clear();
   all_dirty_ = true;
   last_select_t_ = std::numeric_limits<TimeSlot>::min();
-  tie_break_draws_ = 0;
-  groups_evaluated_ = 0;
   on_reset(graph);
 }
 
@@ -61,20 +55,19 @@ ArmId SingleIndexPolicy::select(TimeSlot t) {
     best = select_every_round(t, cache);
   } else {
     refresh_incremental(t, cache);
-    best = reservoir_argmax(cache, num_arms_, rng_, &tie_break_draws_);
+    best = argmax_.select(cache, rng_);
   }
   last_select_t_ = t;
   return refine_selection(static_cast<ArmId>(best));
 }
 
 const std::vector<double>& SingleIndexPolicy::cached_indices() const {
-  for (std::size_t g = 0; g < group_skipped_.size(); ++g) {
-    if (group_skipped_[g] == 0) continue;
-    const std::size_t first = g * kIndexGroupSize;
-    (void)refresh_indices(last_select_t_, last_select_t_, first,
-                          std::min(first + kIndexGroupSize, num_arms_),
+  // kIncremental keeps every entry current. kEveryRound's skipped groups
+  // hold values of an earlier slot, so its array is rewritten whole.
+  if (refresh_mode() == IndexRefreshMode::kEveryRound &&
+      last_select_t_ != std::numeric_limits<TimeSlot>::min()) {
+    (void)refresh_indices(last_select_t_, last_select_t_, 0, num_arms_,
                           cached_indices_.data());
-    group_skipped_[g] = 0;
   }
   return cached_indices_;
 }
@@ -90,39 +83,24 @@ double SingleIndexPolicy::refresh_indices(TimeSlot t, TimeSlot /*horizon*/,
 
 std::size_t SingleIndexPolicy::select_every_round(TimeSlot t, double* cache) {
   // After reset() or invalidate_index_cache() every group is evaluated.
-  const bool full = all_dirty_;
+  if (all_dirty_) argmax_.mark_all();
   all_dirty_ = false;
   for (const ArmId i : dirty_list_) {
     const auto k = static_cast<std::size_t>(i);
     // An observed arm's old bound no longer holds: never skip its group
     // until an evaluation computes a new one.
-    group_bound_[k / kIndexGroupSize] = std::numeric_limits<double>::infinity();
+    argmax_.mark(k);
     dirty_flag_[k] = 0;
   }
   dirty_list_.clear();
   const TimeSlot horizon = bound_horizon(t);
-  ArgmaxState state;
-  for (std::size_t g = 0; g < group_bound_.size(); ++g) {
-    // Strictly below: no index in the group can move or tie the maximum.
-    if (!full && t <= group_bound_until_[g] &&
-        group_bound_[g] < state.best_score) {
-      group_skipped_[g] = 1;
-      continue;
-    }
-    const std::size_t first = g * kIndexGroupSize;
-    const std::size_t last = std::min(first + kIndexGroupSize, num_arms_);
-    group_bound_[g] = refresh_indices(t, horizon, first, last, cache);
-    group_bound_until_[g] = horizon;
-    group_skipped_[g] = 0;
-    ++groups_evaluated_;
-    // As in reservoir_argmax: only a group that can reach the maximum
-    // needs the exact loop.
-    if (block_max(cache, first, last) >= state.best_score) {
-      reservoir_scan(cache, first, last, state, rng_);
-    }
-  }
-  tie_break_draws_ += state.draws;
-  return state.best;
+  return argmax_.select(
+      cache, t,
+      [&](std::size_t first, std::size_t last) {
+        return GroupBound{refresh_indices(t, horizon, first, last, cache),
+                          horizon};
+      },
+      rng_);
 }
 
 void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
@@ -157,6 +135,7 @@ void SingleIndexPolicy::refresh_incremental(TimeSlot t, double* cache) {
     const auto k = static_cast<std::size_t>(i);
     const IndexRefresh r = refresh_index(i, t);
     cache[k] = r.value;
+    argmax_.mark(k);
     valid_until_[k] = r.valid_until;
     if (r.valid_until == kIndexValidForever) {
       // Never expires on its own; only an observation re-dirties it.
@@ -190,6 +169,7 @@ void SingleIndexPolicy::rebuild_cache(TimeSlot t, double* cache) {
     }
   }
   std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), LaterExpiry{});
+  argmax_.mark_all();
   all_dirty_ = false;
 }
 

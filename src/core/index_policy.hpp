@@ -6,40 +6,26 @@
 // owns that loop plus the seeded reset plumbing so the per-policy code is
 // just the index formula and the statistics it reads.
 //
-// select() never evaluates the virtual index() per arm. It maintains a flat
-// per-arm index array and runs the reservoir argmax (util/argmax.hpp) over
-// it; how the array is kept current is the policy's IndexRefreshMode:
+// select() never evaluates the virtual index() per arm. It keeps a flat
+// per-arm index array and finds its argmax with the one group walk,
+// GroupArgmax (util/argmax.hpp): the arms are cut into fixed groups of
+// kIndexGroupSize consecutive arms, each caching an upper bound on its
+// indices, and the walk skips every group whose bound holds and is
+// strictly below the running maximum. How the array and the bounds are
+// kept current is the policy's IndexRefreshMode:
 //
 //  * kEveryRound — the index depends on t every slot (UCB1's ln t, KL-UCB's
-//    budget). The arms are cut into fixed groups of kIndexGroupSize
-//    consecutive arms, and each group keeps an upper bound on every index
-//    in it, valid up to a look-ahead slot t' = t + t/512 of the select
-//    that computed it. select() walks the groups in arm order carrying one
-//    ArgmaxState. A group whose bound is strictly below the running
-//    maximum is skipped. Any other group is evaluated by the range refresh
-//    refresh_indices(t, t', first, last, out), which hoists the per-round
-//    shared terms (log t, the KL budget) out of the per-arm loop, and is
-//    folded into the state by the reservoir scan. A group is evaluated
-//    regardless of its bound when it holds an arm observed since the last
-//    select (the dirty marks), when t has passed its t', and on the select
-//    after reset() or invalidate_index_cache().
-//
-//    The bound is the bound hook: refresh_indices() returns, along with
-//    the exact indices, an upper bound on them at every slot up to t'
-//    while the arms' statistics stay unchanged, so it needs an index that
-//    is nondecreasing in t between observations. Evaluating a group
-//    therefore always renews its bound at no extra pass. The default
-//    bound, +inf, never lets a group be skipped: every index is evaluated,
-//    as any t-dependent policy without a bound needs. UCB1 and UCB-N
-//    supply one; an unplayed arm (index +inf) makes its group's bound +inf.
-//
-//    Skipping is exact: every index in a skipped group is at most its
-//    bound, which is below the running maximum, so the historical loop
-//    would have neither moved the maximum nor counted a tie there — no
-//    comparison outcome and no tie-break draw changes. A NaN index never
-//    wins and never ties, so it may be left out of its group's bound. The
-//    argmax, the RNG draw sequence and tie_break_draws() are those of a
-//    full evaluation.
+//    budget). Every group the walk does not skip is evaluated by the range
+//    refresh refresh_indices(t, t', first, last, out), which hoists the
+//    per-round shared terms (log t, the KL budget) out of the per-arm loop
+//    and returns, along with the exact indices, an upper bound on them at
+//    every slot up to the look-ahead t' = t + t/512, while the arms'
+//    statistics stay unchanged — so it needs an index that is
+//    nondecreasing in t between observations. The bound expires at t'.
+//    The default bound, +inf, never lets a group be skipped: every index
+//    is evaluated, as any t-dependent policy without a bound needs. UCB1
+//    and UCB-N supply one; an unplayed arm (index +inf) makes its group's
+//    bound +inf.
 //  * kIncremental — the index of an untouched arm is constant until a known
 //    future slot (the DFL family: width = sqrt(log⁺(t/(K·O_i))/O_i) is
 //    exactly zero while t ≤ K·O_i, so the index sits at the empirical mean
@@ -47,12 +33,15 @@
 //    mark_index_dirty(); refresh_index() returns each refreshed value with
 //    the last slot it stays valid (valid_until), and select() re-refreshes
 //    an arm only when it is dirty or its plateau expired — tracked by a
-//    lazy-deletion min-heap keyed on valid_until.
+//    lazy-deletion min-heap keyed on valid_until. The array is then
+//    current, so a group's bound is its exact maximum, renewed only for
+//    groups holding a refreshed arm, and it never expires.
 //
-// Both paths produce bit-for-the-comparisons-identical values to the
-// from-scratch index(), so the argmax comparisons — and therefore the
-// tie-break RNG draw sequence and every downstream selection — are exactly
-// reproduced (regression-tested against pre-refactor goldens).
+// In both modes an observed arm's group is re-evaluated on the next
+// select, and every group is after reset() or invalidate_index_cache().
+// Skipping is exact (util/argmax.hpp): the argmax, the RNG draw sequence
+// and tie_break_draws() are those of a full evaluation (regression-tested
+// against pre-refactor goldens).
 //
 // ArmStatIndexPolicy additionally owns the per-arm SoA stats table and
 // default-implements observe() as the *batched* update path: the whole
@@ -70,6 +59,7 @@
 
 #include "core/arm_stats.hpp"
 #include "core/policy.hpp"
+#include "util/argmax.hpp"
 #include "util/rng.hpp"
 
 namespace ncb {
@@ -84,9 +74,6 @@ enum class IndexRefreshMode {
 /// dirty-marking (an observation touching the arm) invalidates it.
 inline constexpr TimeSlot kIndexValidForever =
     std::numeric_limits<TimeSlot>::max();
-
-/// Arms per kEveryRound bound group (the last group may be shorter).
-inline constexpr std::size_t kIndexGroupSize = 32;
 
 /// One incremental refresh: the new index value and the last slot it stays
 /// valid for, assuming the arm's statistics do not change in between.
@@ -107,19 +94,19 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   /// Total uniform_int tie-break draws consumed by select() since the last
   /// reset() — part of the reproducibility contract, pinned by goldens.
   [[nodiscard]] std::uint64_t tie_break_draws() const noexcept {
-    return tie_break_draws_;
+    return argmax_.tie_break_draws();
   }
 
-  /// Bound groups whose exact indices select() evaluated since the last
-  /// reset() (kEveryRound; a full evaluation counts every group).
+  /// Bound groups select() did not skip since the last reset() (a full
+  /// evaluation counts every group).
   [[nodiscard]] std::uint64_t groups_evaluated() const noexcept {
-    return groups_evaluated_;
+    return argmax_.groups_evaluated();
   }
 
   /// The per-arm index array as of the last select() (diagnostics/tests).
-  /// Groups that select skipped are filled in here, at the last select's
-  /// slot and from the statistics current at the call — the same values
-  /// unless one of their arms was observed since.
+  /// kEveryRound entries are recomputed here, at the last select's slot
+  /// and from the statistics current at the call — the values select()
+  /// compared unless an arm was observed since.
   [[nodiscard]] const std::vector<double>& cached_indices() const;
 
   /// Test/bench hook: drops every cached value so the next select() does a
@@ -193,13 +180,7 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   void purge_expiry_heap();
 
   mutable std::vector<double> cached_indices_;
-  // kEveryRound group bounds: group_bound_[g] covers every slot up to
-  // group_bound_until_[g]; +inf once one of the group's arms is observed.
-  // group_skipped_ flags groups whose cached_indices_ entries the last
-  // select skipped.
-  std::vector<double> group_bound_;
-  std::vector<TimeSlot> group_bound_until_;
-  mutable std::vector<std::uint8_t> group_skipped_;
+  GroupArgmax argmax_;  // group bounds over cached_indices_
   std::vector<std::uint8_t> dirty_flag_;  // per-arm "already in dirty_list_"
   std::vector<ArmId> dirty_list_;
   std::vector<TimeSlot> valid_until_;     // authoritative per-arm expiry
@@ -218,8 +199,6 @@ class SingleIndexPolicy : public SinglePlayPolicy {
   std::vector<ArmId> hot_list_;
   bool all_dirty_ = true;
   TimeSlot last_select_t_ = std::numeric_limits<TimeSlot>::min();
-  std::uint64_t tie_break_draws_ = 0;
-  std::uint64_t groups_evaluated_ = 0;
   std::uint64_t seed_;
 };
 

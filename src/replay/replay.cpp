@@ -47,7 +47,7 @@ class CandidateReplayer {
     const TimeSlot t = ++t_;
     const ArmId greedy = policy_->select(t);
 
-    const std::uint64_t key_index = per_key_count_[key_hash]++;
+    const std::uint64_t key_index = per_key_count_.next(key_hash);
     ArmId sampled = greedy;
     if (epsilon_ > 0.0) {
       Xoshiro256 rng(derive_seed_at(seed_ ^ key_hash, key_index));
@@ -108,7 +108,7 @@ class CandidateReplayer {
   std::string description_;
   TimeSlot t_ = 0;
   std::unordered_map<std::uint64_t, Pending> pending_;
-  std::unordered_map<std::uint64_t, std::uint64_t> per_key_count_;
+  serve::KeyCounters per_key_count_;
 };
 
 }  // namespace

@@ -61,7 +61,7 @@ Decision DecisionEngine::decide(const std::string& user_key,
 
   // The exploration draw comes from the key's own counter-based stream, so
   // it is independent of which connection carried the request.
-  const std::uint64_t key_index = per_key_count_[key_hash]++;
+  const std::uint64_t key_index = per_key_count_.next(key_hash);
   const std::size_t num_arms = graph_.num_vertices();
   ArmId action = greedy;
   if (epsilon_ > 0.0) {

@@ -29,6 +29,7 @@
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "serve/event_log.hpp"
+#include "serve/key_counters.hpp"
 #include "util/types.hpp"
 
 namespace ncb::serve {
@@ -111,7 +112,7 @@ class DecisionEngine {
   mutable std::mutex mutex_;
   TimeSlot t_ = 0;  ///< Last issued slot == last decision_id.
   std::unordered_map<std::uint64_t, ArmId> pending_;
-  std::unordered_map<std::uint64_t, std::uint64_t> per_key_count_;
+  KeyCounters per_key_count_;
   std::uint64_t feedbacks_ = 0;
   std::uint64_t unknown_feedbacks_ = 0;
   std::uint64_t duplicate_feedbacks_ = 0;

@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "dist/protocol.hpp"
@@ -30,7 +31,9 @@
 #include "obs/metrics.hpp"
 #include "serve/decision_engine.hpp"
 #include "serve/event_log.hpp"
+#include "serve/key_counters.hpp"
 #include "serve/server.hpp"
+#include "util/rng.hpp"
 
 namespace fs = std::filesystem;
 
@@ -169,6 +172,27 @@ TEST(ServeProtocol, ValidateHelloChecksServeSchema) {
 }
 
 // ------------------------------------------------------------- engine ---
+
+// The flat per-key counters against a node map over enough keys to grow
+// every segment several times, with hash 0 and keys that differ only in
+// their top bits among them.
+TEST(KeyCounters, CountLikeAMapAcrossSegmentGrowth) {
+  KeyCounters counters;
+  std::unordered_map<std::uint64_t, std::uint64_t> reference;
+  Xoshiro256 rng(31);
+  std::vector<std::uint64_t> keys{0, 1ULL << 63, (1ULL << 63) | 1, 1};
+  for (int i = 0; i < 60000; ++i) keys.push_back(rng());
+  for (int i = 0; i < 300000; ++i) {
+    // Mostly recent keys, so counts grow well past 1.
+    const std::uint64_t key =
+        i < 4 ? keys[static_cast<std::size_t>(i)]
+              : keys[rng.uniform_int(keys.size())];
+    ASSERT_EQ(counters.next(key), reference[key]++) << "request " << i;
+  }
+  for (const auto& [key, count] : reference) {
+    ASSERT_EQ(counters.next(key), count);
+  }
+}
 
 TEST(DecisionEngine, RejectsBadConfiguration) {
   EngineOptions options;
