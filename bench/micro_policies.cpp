@@ -4,7 +4,8 @@
 // delivery comparison (one batched span per slot vs one singleton span per
 // edge) on a dense ER graph — the before/after evidence for the batched
 // ObservationSpan API — plus the serving dynamics: one DecisionEngine
-// decide + report per iteration at K = 10^4.
+// decide + report per iteration at K = 10^4 — plus the simulator's own
+// per-slot cost, one Environment::advance() reward row.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -14,6 +15,7 @@
 
 #include "core/index_policy.hpp"
 #include "core/policy_registry.hpp"
+#include "env/environment.hpp"
 #include "graph/clique_cover.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
@@ -233,6 +235,17 @@ void BM_EngineDecideReport(benchmark::State& state, const std::string& spec) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// One reward row over K Bernoulli arms with uniform(0, 1) means, the
+// instance every sweep and figure draws from (items = arms drawn).
+void BM_EnvironmentAdvance(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  Xoshiro256 gen(3);
+  Environment env(random_bernoulli_instance(empty_graph(k), gen), 11);
+  for (auto _ : state) benchmark::DoNotOptimize(env.advance().data());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(k));
+}
+
 void BM_ErdosRenyi(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   Xoshiro256 rng(1);
@@ -344,6 +357,9 @@ BENCHMARK_CAPTURE(BM_EngineDecideReport, eps_greedy, "eps-greedy")
 BENCHMARK_CAPTURE(BM_EngineDecideReport, ucb1, "ucb1")
     ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
+
+// Arg: K.
+BENCHMARK(BM_EnvironmentAdvance)->Arg(100)->Arg(10000);
 
 BENCHMARK(BM_ErdosRenyi)->Arg(100)->Arg(400);
 BENCHMARK(BM_GraphFromEdgeList)->Arg(100)->Arg(400);

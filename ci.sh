@@ -24,8 +24,9 @@
 #                             BENCH_graph.json at the repo root and guarded
 #                             against a pinned anchor commit built in
 #                             build-anchor/ (needs its git history), plus the
-#                             serve throughput bench into BENCH_serve.json and
-#                             the offline replay panel bench into
+#                             serve throughput bench into BENCH_serve.json
+#                             (its obs microbenches guarded against the same
+#                             anchor) and the offline replay panel bench into
 #                             BENCH_replay.json.
 #        NCB_CI_JOBS=N ./ci.sh          — override parallelism.
 #        NCB_BENCH_MIN_TIME=0.5 ./ci.sh bench — slower, steadier timings.
@@ -361,17 +362,18 @@ PY
   bench_regression_guard
 }
 
-# Regression guard over the tracked graph/DFL hot paths, paired against a
-# pinned anchor commit. A baseline recorded once drifts with the machine
-# that runs it (the scaling_k baseline of 2026-08-07 later read 1.5-2.3x
-# slower on unchanged code, so the guard went red on working code), so the
-# guard builds BENCH_ANCHOR's scaling_k in build-anchor/ and runs every
-# guarded benchmark BENCH_GUARD_ROUNDS times on the anchor and the change,
-# alternating which goes first, one process each. It fails when the median
-# of the per-round change/anchor ratios exceeds 1.5x. The report always
-# lands in build/bench_regression.txt (uploaded as a CI artifact) so a red
-# run shows exactly which point moved. Benchmarks the anchor lacks are reported but
-# never fail the guard. Move the anchor only together with a CHANGES.md
+# Regression guards, paired against a pinned anchor commit. A baseline
+# recorded once drifts with the machine that runs it (the scaling_k
+# baseline of 2026-08-07 later read 1.5-2.3x slower on unchanged code, and
+# the obs points read 1.45-1.76x HEAD's committed values on unchanged obs
+# code), so the guards build BENCH_ANCHOR's scaling_k and obs_overhead in
+# build-anchor/ and run every guarded benchmark BENCH_GUARD_ROUNDS times on
+# the anchor and the change, alternating which goes first, one process
+# each. A guard fails when the median of a benchmark's per-round
+# change/anchor ratios exceeds 1.5x. Its report always lands in
+# build/bench_<tag>_regression.txt (uploaded as a CI artifact) so a red run
+# shows exactly which point moved. Benchmarks the anchor lacks are reported
+# but never fail a guard. Move the anchor only together with a CHANGES.md
 # note giving its old and new numbers.
 BENCH_ANCHOR=0f63384ab1d2397377e89a932c3b6c35fc20b618
 BENCH_GUARD_ROUNDS=3
@@ -391,42 +393,49 @@ bench_anchor_build() {
   fi
   cmake -S build-anchor/src -B build-anchor/build -DNCB_BUILD_TESTS=OFF \
         -DNCB_BUILD_EXAMPLES=OFF > /dev/null
-  cmake --build build-anchor/build -j "$JOBS" --target scaling_k
+  cmake --build build-anchor/build -j "$JOBS" --target scaling_k obs_overhead
 }
 
-bench_regression_guard() {
-  bench_anchor_build
+# paired_guard <bench binary> <benchmark filter> <tag>: the paired guard
+# over bench/<binary>'s benchmarks matching the filter. Also writes the
+# change's median times as {name: real_time} to build/bench_<tag>_change.json.
+paired_guard() {
+  local binary="$1" filter="$2" tag="$3"
   local min_time="${NCB_BENCH_MIN_TIME:-0.05}" name round sides side bin
-  rm -f build/bench_guard_*.json
+  bench_anchor_build
+  rm -f "build/bench_guard_${tag}"_*.json
   while read -r name; do
     for round in $(seq 1 "$BENCH_GUARD_ROUNDS"); do
       # Alternate which side runs first, so drift during a round cancels.
       sides="anchor change"
       [ $((round % 2)) = 0 ] && sides="change anchor"
       for side in $sides; do
-        bin=build/bench/scaling_k
-        [ "$side" = anchor ] && bin=build-anchor/build/bench/scaling_k
+        bin="build/bench/${binary}"
+        [ "$side" = anchor ] && bin="build-anchor/build/bench/${binary}"
         "$bin" --benchmark_filter="^${name}\$" \
             --benchmark_min_time="$min_time" --benchmark_out_format=json \
-            --benchmark_out="build/bench_guard_${side}_${round}_${name//\//_}.json" \
+            --benchmark_out="build/bench_guard_${tag}_${side}_${round}_${name//\//_}.json" \
             > /dev/null
       done
     done
-  done < <(build/bench/scaling_k --benchmark_list_tests \
-               --benchmark_filter="$BENCH_GUARD_FILTER")
-  python3 - "$BENCH_ANCHOR" <<'PY'
+  done < <("build/bench/${binary}" --benchmark_list_tests \
+               --benchmark_filter="$filter")
+  python3 - "$BENCH_ANCHOR" "$tag" <<'PY'
 import glob
 import json
+import os
 import statistics
 import sys
 
 THRESHOLD = 1.5
+anchor_commit, tag = sys.argv[1], sys.argv[2]
 
 # times[side][name] = one real_time per round, in the benchmark's unit.
 times = {"anchor": {}, "change": {}}
 units = {}
-for path in sorted(glob.glob("build/bench_guard_*.json")):
-    side = path.split("_")[2]
+prefix = f"bench_guard_{tag}_"
+for path in sorted(glob.glob(f"build/{prefix}*.json")):
+    side = os.path.basename(path)[len(prefix):].split("_")[0]
     with open(path) as f:
         for b in json.load(f).get("benchmarks", []):
             if b.get("run_type", "iteration") != "iteration":
@@ -444,28 +453,37 @@ for name in sorted(times["change"]):
     anchor = times["anchor"][name]
     ratio = statistics.median(c / a if a > 0 else float("inf")
                               for c, a in zip(fresh, anchor))
-    tag = ("REGRESS " if ratio > THRESHOLD
-           else "OK      " if ratio >= 1 else "FASTER  ")
-    lines.append(f"{tag} {name}: anchor {statistics.median(anchor):.1f} -> "
+    mark = ("REGRESS " if ratio > THRESHOLD
+            else "OK      " if ratio >= 1 else "FASTER  ")
+    lines.append(f"{mark} {name}: anchor {statistics.median(anchor):.1f} -> "
                  f"change {statistics.median(fresh):.1f} {unit} "
                  f"(median paired ratio {ratio:.2f}x over {len(fresh)} rounds)")
     if ratio > THRESHOLD:
         failures.append(name)
 
-report = f"anchor {sys.argv[1]}\n" + "\n".join(lines) + "\n"
-with open("build/bench_regression.txt", "w") as f:
+with open(f"build/bench_{tag}_change.json", "w") as f:
+    json.dump({name: round(statistics.median(v), 2)
+               for name, v in sorted(times["change"].items())}, f, indent=1)
+    f.write("\n")
+report = f"anchor {anchor_commit}\n" + "\n".join(lines) + "\n"
+with open(f"build/bench_{tag}_regression.txt", "w") as f:
     f.write(report)
 sys.stdout.write(report)
 if not lines:
-    print("bench guard: no guarded benchmark ran")
+    print(f"{tag} bench guard: no guarded benchmark ran")
     sys.exit(1)
 if failures:
-    print(f"bench guard: {len(failures)} benchmark(s) regressed beyond "
-          f"{THRESHOLD}x against the anchor -- see build/bench_regression.txt")
+    print(f"{tag} bench guard: {len(failures)} benchmark(s) regressed beyond "
+          f"{THRESHOLD}x against the anchor -- see "
+          f"build/bench_{tag}_regression.txt")
     sys.exit(1)
-print(f"bench guard: no tracked benchmark regressed beyond {THRESHOLD}x "
-      "against the anchor")
+print(f"{tag} bench guard: no tracked benchmark regressed beyond "
+      f"{THRESHOLD}x against the anchor")
 PY
+}
+
+bench_regression_guard() {
+  paired_guard scaling_k "$BENCH_GUARD_FILTER" graph
 }
 
 # Serve throughput bench: the load driver against a real K=10^4 server
@@ -502,13 +520,12 @@ bench_serve() {
     rm -f build/bench_serve_baseline.json
   fi
   # Metrics-overhead microbench: per-event instrument costs ride along in
-  # BENCH_serve.json next to the end-to-end QPS, under the same 1.5x guard.
+  # BENCH_serve.json next to the end-to-end QPS, under the paired 1.5x
+  # guard against the anchor.
   if [ -x build/bench/obs_overhead ]; then
-    ./build/bench/obs_overhead --benchmark_out=build/obs_overhead.json \
-        --benchmark_out_format=json \
-        --benchmark_min_time="${NCB_BENCH_MIN_TIME:-0.05}"
+    paired_guard obs_overhead . obs
   else
-    rm -f build/obs_overhead.json
+    rm -f build/bench_obs_change.json
   fi
   python3 - <<'PY'
 import json
@@ -520,11 +537,9 @@ THRESHOLD = 1.5
 with open("build/bench_serve_run.json") as f:
     run = json.load(f)
 payload = {"schema": 1, "serve": run}
-if os.path.exists("build/obs_overhead.json"):
-    with open("build/obs_overhead.json") as f:
-        obs = json.load(f)
-    payload["obs"] = {b["name"]: round(b["real_time"], 2)
-                      for b in obs["benchmarks"]}
+if os.path.exists("build/bench_obs_change.json"):
+    with open("build/bench_obs_change.json") as f:
+        payload["obs"] = json.load(f)
 with open("BENCH_serve.json", "w") as f:
     json.dump(payload, f, indent=1)
     f.write("\n")
@@ -546,20 +561,6 @@ print(f"serve bench guard: qps {base['qps']:.0f} -> {run['qps']:.0f} "
       f"serve bench guard: qps {base['qps']:.0f} -> {run['qps']:.0f} (faster)")
 if ratio > THRESHOLD:
     print(f"serve bench guard: throughput regressed beyond {THRESHOLD}x")
-    sys.exit(1)
-
-worst_name, worst = "", 0.0
-for name, base_ns in base_all.get("obs", {}).items():
-    ns = payload.get("obs", {}).get(name)
-    if ns is None or base_ns <= 0:
-        continue
-    obs_ratio = ns / base_ns
-    print(f"obs bench guard: {name} {base_ns:.1f} -> {ns:.1f} ns "
-          f"({obs_ratio:.2f}x)")
-    if obs_ratio > worst:
-        worst_name, worst = name, obs_ratio
-if worst > THRESHOLD:
-    print(f"obs bench guard: {worst_name} regressed beyond {THRESHOLD}x")
     sys.exit(1)
 PY
 }

@@ -2,6 +2,18 @@
 // time slot. Policies never see this object directly — the simulation runner
 // mediates feedback per scenario semantics, so a policy can only learn what
 // its scenario legitimately observes.
+//
+// Drawing the row is the per-slot cost every scenario pays for all K arms,
+// whatever the policy reads. For an all-Bernoulli instance (every sweep,
+// figure and build_instance instance: means drawn from uniform(0, 1)),
+// advance() runs one branch-free row kernel: arm i pays one xoshiro draw,
+// `hit = (x >> 11) < thr_i` against BanditInstance::bernoulli_thresholds(),
+// and stores the bit pattern of 1.0 masked by hit, with the generator held
+// in a local copy. That is exactly the draw and the value of
+// BernoulliDist::sample's `uniform() < p`, so rows are bit-identical to the
+// per-arm path. Any other instance (a p = 0 or p = 1 arm, which consumes no
+// draw, or any non-Bernoulli arm, which draws its own way) keeps the
+// per-arm loop over the virtual Distribution::sample.
 #pragma once
 
 #include <memory>
@@ -26,8 +38,10 @@ class Environment {
   Environment(std::shared_ptr<const BanditInstance> instance,
               std::uint64_t seed);
 
-  /// Advances to the next time slot and draws X_{i,t} for every arm.
-  /// Returns the drawn row (valid until the next call).
+  /// Advances to the next time slot and draws X_{i,t} for every arm, in
+  /// arm order from the environment's stream (see the header comment for
+  /// the Bernoulli row kernel). Returns the drawn row (valid until the
+  /// next call).
   const std::vector<double>& advance();
 
   /// Current slot's reward row (last `advance()` result).

@@ -1,6 +1,7 @@
 #include "env/instance.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,6 +26,7 @@ BanditInstance::BanditInstance(const BanditInstance& other)
     : graph_(other.graph_),
       means_(other.means_),
       side_means_(other.side_means_),
+      bernoulli_thresholds_(other.bernoulli_thresholds_),
       best_arm_(other.best_arm_),
       best_side_arm_(other.best_side_arm_) {
   arms_.reserve(other.arms_.size());
@@ -46,6 +48,21 @@ void BanditInstance::recompute() {
   for (std::size_t i = 0; i < n; ++i) {
     for (const ArmId j : graph_.closed_neighborhood(static_cast<ArmId>(i))) {
       side_means_[i] += means_[static_cast<std::size_t>(j)];
+    }
+  }
+  // A p ≤ 0 or p ≥ 1 arm draws nothing and any other distribution draws
+  // its own way, so either keeps the whole row on the per-arm path.
+  const auto drawable = [](const DistributionPtr& a) {
+    const double p = a->mean();
+    return dynamic_cast<const BernoulliDist*>(a.get()) != nullptr && p > 0.0 &&
+           p < 1.0;
+  };
+  bernoulli_thresholds_.clear();
+  if (std::all_of(arms_.begin(), arms_.end(), drawable)) {
+    bernoulli_thresholds_.reserve(n);
+    for (const auto& a : arms_) {
+      bernoulli_thresholds_.push_back(
+          static_cast<std::uint64_t>(std::ceil(std::ldexp(a->mean(), 53))));
     }
   }
   best_arm_ = static_cast<ArmId>(

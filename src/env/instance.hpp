@@ -2,9 +2,12 @@
 //
 // The instance knows all ground-truth quantities the regret definitions
 // need: per-arm means μ_i, side-reward means u_i = Σ_{j∈N_i} μ_j (paper §V),
-// and the per-semantics optimal values.
+// and the per-semantics optimal values. An all-Bernoulli instance also
+// keeps the per-arm thresholds Environment::advance() draws its reward row
+// against.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +47,16 @@ class BanditInstance {
     return side_means_;
   }
 
+  /// Per-arm thresholds ceil(p_i·2⁵³) when every arm is a BernoulliDist
+  /// with 0 < p_i < 1, else empty. A 53-bit draw u is below thr_i iff
+  /// u·2⁻⁵³ < p_i, i.e. iff BernoulliDist::sample's `uniform() < p` holds
+  /// (both scalings by 2⁵³ are exact), so Environment can draw the whole
+  /// row with integer compares and the same RNG stream.
+  [[nodiscard]] const std::vector<std::uint64_t>& bernoulli_thresholds()
+      const noexcept {
+    return bernoulli_thresholds_;
+  }
+
   /// Arm with the highest direct mean (ties → smallest id). SSO optimum.
   [[nodiscard]] ArmId best_arm() const noexcept { return best_arm_; }
   [[nodiscard]] double best_mean() const noexcept {
@@ -74,6 +87,7 @@ class BanditInstance {
   std::vector<DistributionPtr> arms_;
   std::vector<double> means_;
   std::vector<double> side_means_;
+  std::vector<std::uint64_t> bernoulli_thresholds_;
   ArmId best_arm_ = kNoArm;
   ArmId best_side_arm_ = kNoArm;
 };

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "core/arm_stats.hpp"
 #include "graph/generators.hpp"
 
 namespace ncb {
@@ -150,6 +153,128 @@ TEST(DflSsr, PairedAndMeanSumAgreeWhenSynchronized) {
     EXPECT_NEAR(paired.side_reward_estimate(i),
                 meansum.side_reward_estimate(i), 1e-9);
   }
+}
+
+/// From-scratch DFL-SSR state: every observation kept, Ob_i and B̄_i
+/// recomputed from them in closed-neighborhood order on every query.
+class ScratchSsr {
+ public:
+  explicit ScratchSsr(const Graph& g) : g_(g) { reset(); }
+
+  void reset() {
+    prefix_.assign(g_.num_vertices(), {});
+    stats_.reset(g_.num_vertices());
+  }
+
+  void observe(const std::vector<Observation>& batch) {
+    for (const Observation& obs : batch) {
+      auto& ps = prefix_[static_cast<std::size_t>(obs.arm)];
+      ps.push_back((ps.empty() ? 0.0 : ps.back()) + obs.value);
+      stats_.add(obs.arm, obs.value);
+    }
+  }
+
+  std::int64_t ob(ArmId i) const {
+    std::int64_t ob = std::numeric_limits<std::int64_t>::max();
+    for (const ArmId j : g_.closed_neighborhood(i)) {
+      ob = std::min(ob, static_cast<std::int64_t>(
+                            prefix_[static_cast<std::size_t>(j)].size()));
+    }
+    return ob;
+  }
+
+  double paired(ArmId i) const {
+    const std::int64_t m = ob(i);
+    if (m == 0) return 0.0;
+    double total = 0.0;
+    for (const ArmId j : g_.closed_neighborhood(i)) {
+      total += prefix_[static_cast<std::size_t>(j)][static_cast<std::size_t>(m - 1)];
+    }
+    return total / static_cast<double>(m);
+  }
+
+  double mean_sum(ArmId i) const {
+    double total = 0.0;
+    for (const ArmId j : g_.closed_neighborhood(i)) total += stats_.mean(j);
+    return total;
+  }
+
+ private:
+  const Graph& g_;
+  std::vector<std::vector<double>> prefix_;
+  ArmStatsTable stats_;
+};
+
+// The incrementally kept Ob_i and B̄_i must equal a from-scratch min and sum
+// after every observe(), for every arm: through sweep-like batches (a
+// closed neighborhood), serve-like ones (one arm), batches hitting one
+// neighborhood repeatedly, and a reset mid-run.
+TEST(DflSsr, IncrementalStateEqualsFromScratchAfterEveryObserve) {
+  Xoshiro256 gen(808);
+  const Graph g = erdos_renyi(60, 0.15, gen);
+  const std::size_t k = g.num_vertices();
+  for (const SsrEstimator estimator :
+       {SsrEstimator::kPaired, SsrEstimator::kMeanSum}) {
+    const bool paired = estimator == SsrEstimator::kPaired;
+    SCOPED_TRACE(paired ? "paired" : "mean-sum");
+    DflSsr policy(DflSsrOptions{.estimator = estimator});
+    ScratchSsr scratch(g);
+    policy.reset(g);
+    Xoshiro256 actions(17);
+    Xoshiro256 rewards(29);
+    std::vector<Observation> batch;
+    TimeSlot t = 0;
+    for (int step = 0; step < 3000; ++step) {
+      if (step == 1500) {
+        policy.reset(g);
+        scratch.reset();
+        t = 0;
+      }
+      const auto arm = static_cast<ArmId>(actions.uniform_int(k));
+      const std::uint64_t kind = actions.uniform_int(3);
+      batch.clear();
+      if (kind == 0) {
+        // Sweep-like: the played arm's closed neighborhood.
+        for (const ArmId j : g.closed_neighborhood(arm)) {
+          batch.push_back({j, rewards.uniform()});
+        }
+      } else if (kind == 1) {
+        // Serve-like: the played arm alone.
+        batch.push_back({arm, rewards.uniform()});
+      } else {
+        // One neighborhood hit repeatedly, its centre twice more.
+        for (int rep = 0; rep < 3; ++rep) {
+          for (const ArmId j : g.closed_neighborhood(arm)) {
+            batch.push_back({j, rewards.uniform()});
+          }
+        }
+        batch.push_back({arm, rewards.uniform()});
+        batch.push_back({arm, rewards.uniform()});
+      }
+      ++t;
+      policy.observe(arm, t, ObservationSpan(batch.data(), batch.size()));
+      scratch.observe(batch);
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto a = static_cast<ArmId>(i);
+        ASSERT_EQ(policy.side_observation_count(a), scratch.ob(a))
+            << "arm " << i << " step " << step;
+        // Exact equality: the cached estimate is the from-scratch sum.
+        ASSERT_EQ(policy.side_reward_estimate(a),
+                  paired ? scratch.paired(a) : scratch.mean_sum(a))
+            << "arm " << i << " step " << step;
+      }
+      if (step % 7 == 0) (void)policy.select(t);
+    }
+  }
+}
+
+TEST(DflSsr, StateAccessorsRejectOutOfRangeArms) {
+  const Graph g = path_graph(3);
+  DflSsr policy;
+  policy.reset(g);
+  EXPECT_THROW((void)policy.side_observation_count(3), std::out_of_range);
+  EXPECT_THROW((void)policy.side_reward_estimate(3), std::out_of_range);
+  EXPECT_THROW((void)policy.side_observation_count(-1), std::out_of_range);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // must be exact — the same arm and the same tie-break draws as a full
 // scan on every select — while actually skipping most of the arms in
 // steady state. Covered for its three bound sources: kEveryRound index
-// bounds (UCB1, UCB-N), kIncremental exact maxima (DFL-SSO), and
+// bounds (UCB1, UCB-N), kIncremental exact maxima (DFL-SSO; DFL-SSR, whose
+// observe() marks only the arms whose Ob_i moved), and
 // epsilon-greedy's cached mean maxima, the latter also through a pinned
 // DecisionEngine event log at K = 10^4.
 #include <cstdint>
@@ -38,7 +39,9 @@ enum class Rewards { kBernoulli, kContinuous };
 /// kBursts: side observations, observe-without-select bursts and slots
 /// that jump ahead or go back. kServe: DecisionEngine's feedback pattern —
 /// one slot per select, epsilon-mixed play, only the played arm observed.
-enum class Dynamics { kBursts, kServe };
+/// kServeSide: the same lockstep, epsilon-mixed play with the played arm's
+/// closed neighborhood observed, as a side-reward learner is fed.
+enum class Dynamics { kBursts, kServe, kServeSide };
 
 struct Case {
   std::string policy;
@@ -63,13 +66,16 @@ std::string case_name(const testing::TestParamInfo<Case>& info) {
   name += info.param.rewards == Rewards::kBernoulli ? "_bernoulli"
                                                     : "_continuous";
   if (info.param.dynamics == Dynamics::kServe) name += "_serve";
+  if (info.param.dynamics == Dynamics::kServeSide) name += "_serveside";
   return name;
 }
 
 void PrintTo(const Case& c, std::ostream* os) {
   *os << c.policy << " K=" << c.arms
       << (c.rewards == Rewards::kBernoulli ? " bernoulli" : " continuous")
-      << (c.dynamics == Dynamics::kServe ? " serve" : "");
+      << (c.dynamics == Dynamics::kServe       ? " serve"
+          : c.dynamics == Dynamics::kServeSide ? " serveside"
+                                               : "");
 }
 
 /// Per-arm reward means: three Bernoulli levels make many arms share
@@ -115,11 +121,11 @@ TEST_P(GroupBoundExactness, SelectsAndDrawsEqualFullEvaluation) {
   const auto reward = [&](ArmId j) {
     return draw_reward(c.rewards, means[static_cast<std::size_t>(j)], rewards);
   };
-  const bool serve = c.dynamics == Dynamics::kServe;
+  const bool serve = c.dynamics != Dynamics::kBursts;
   std::vector<Observation> batch;
   const auto observe_both = [&](ArmId arm, TimeSlot t) {
     batch.clear();
-    if (serve) {
+    if (c.dynamics == Dynamics::kServe) {
       batch.push_back({arm, reward(arm)});
     } else {
       for (const ArmId j : g.closed_neighborhood(arm)) {
@@ -199,7 +205,13 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{"dfl-sso", 10000, Rewards::kBernoulli,
                          Dynamics::kServe},
                     Case{"dfl-sso", 10000, Rewards::kContinuous,
-                         Dynamics::kServe}),
+                         Dynamics::kServe},
+                    Case{"dfl-ssr", 2048, Rewards::kBernoulli},
+                    Case{"dfl-ssr", 2048, Rewards::kContinuous,
+                         Dynamics::kServeSide},
+                    Case{"dfl-ssr", 10000, Rewards::kContinuous},
+                    Case{"dfl-ssr", 10000, Rewards::kBernoulli,
+                         Dynamics::kServeSide}),
     case_name);
 
 // EpsilonGreedy as it was before its exploit step cached group maxima:
