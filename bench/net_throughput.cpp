@@ -12,8 +12,8 @@
 #include <string>
 #include <thread>
 
-#include "dist/protocol.hpp"
 #include "net/tcp.hpp"
+#include "wire/frame.hpp"
 
 namespace {
 
@@ -24,8 +24,8 @@ using namespace ncb;
 std::thread echo_thread(int fd) {
   return std::thread([fd] {
     try {
-      while (auto frame = dist::read_frame(fd)) {
-        dist::write_frame(fd, frame->type, frame->payload);
+      while (auto frame = wire::read_frame(fd)) {
+        wire::write_frame(fd, frame->type, frame->payload);
       }
     } catch (const std::exception&) {
       // Stream torn down mid-read at benchmark teardown — expected.
@@ -36,8 +36,8 @@ std::thread echo_thread(int fd) {
 void round_trips(benchmark::State& state, int fd) {
   const std::string payload(static_cast<std::size_t>(state.range(0)), 'r');
   for (auto _ : state) {
-    dist::write_frame(fd, dist::MsgType::kJobResult, payload);
-    const auto echoed = dist::read_frame(fd);
+    wire::write_frame(fd, wire::MsgType::kJobResult, payload);
+    const auto echoed = wire::read_frame(fd);
     if (!echoed || echoed->payload.size() != payload.size()) {
       state.SkipWithError("echo mismatch");
       break;

@@ -49,11 +49,10 @@ stage() {
 
 # Layering: each src/ subsystem may include only itself and the subsystems
 # listed before it in LAYERS, so the dependency graph stays a DAG. Every
-# offending include is printed as file:line. net -> dist is the one known
-# exception: net/ still reads dist/protocol.hpp's framing until the wire/
-# split (ROADMAP "one of everything", item 3).
-LAYERS="util theory obs graph env strategy core sim exp net dist serve replay"
-LAYER_EXCEPTIONS="net->dist"
+# offending include is printed as file:line. The stage also fails when a
+# src/*/*.cpp on disk is missing from src/CMakeLists.txt or a listed source
+# does not exist, so a half-done move or an orphaned file cannot land.
+LAYERS="util theory obs wire graph env strategy core sim exp net dist serve replay"
 layering() {
   local -A rank
   local i=0 layer file line dep dir bad=0
@@ -62,7 +61,6 @@ layering() {
     dir=${file#src/}; dir=${dir%%/*}
     dep=${dep#*\"}; dep=${dep%/}
     [ "$dir" = "$dep" ] && continue
-    case " $LAYER_EXCEPTIONS " in *" $dir->$dep "*) continue ;; esac
     if [ -z "${rank[$dir]+x}" ] || [ -z "${rank[$dep]+x}" ]; then
       echo "layering: $file:$line: $dir -> $dep (subsystem missing from LAYERS)"
       bad=1
@@ -71,8 +69,22 @@ layering() {
       bad=1
     fi
   done < <(grep -rnoE '^\s*#\s*include\s*"[a-z_]+/' src)
+  local -A listed
+  while read -r file; do
+    listed[$file]=1
+    if [ ! -f "src/$file" ]; then
+      echo "layering: src/CMakeLists.txt lists missing source src/$file"
+      bad=1
+    fi
+  done < <(grep -oE '^\s+[a-z_]+/[a-z_0-9]+\.cpp$' src/CMakeLists.txt | tr -d ' ')
+  for file in src/*/*.cpp; do
+    if [ -z "${listed[${file#src/}]+x}" ]; then
+      echo "layering: $file is not listed in src/CMakeLists.txt"
+      bad=1
+    fi
+  done
   [ "$bad" = 0 ] || return 1
-  echo "layering: src/ includes follow $LAYERS (except $LAYER_EXCEPTIONS)"
+  echo "layering: src/ includes follow $LAYERS; src/CMakeLists.txt lists every source"
   # The src/ line count each change reports (ROADMAP, "Quality of design").
   echo "layering: src/ is $(cat src/*/*.hpp src/*/*.cpp | wc -l) lines"
 }

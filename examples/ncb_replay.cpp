@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "dist/process.hpp"
 #include "exp/emitters.hpp"
 #include "exp/sweep_spec.hpp"
+#include "net/process.hpp"
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
         transport = std::move(tcp);
       } else {
         transport = std::make_unique<net::ProcessTransport>(
-            std::vector<std::string>{dist::self_exe_path(args.program())});
+            std::vector<std::string>{net::self_exe_path(args.program())});
         std::cout << "ncb_replay: " << specs.size() << " candidates across "
                   << workers << " workers\n";
       }

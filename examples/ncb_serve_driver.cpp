@@ -36,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "exp/emitters.hpp"
 #include "exp/sweep_spec.hpp"
 #include "sim/experiment.hpp"
@@ -44,6 +43,7 @@
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
+#include "wire/serve_messages.hpp"
 
 namespace {
 
@@ -95,14 +95,14 @@ int connect_unix(const std::string& path) {
 
 /// Hello/HelloAck exchange with the serve schema word.
 void handshake(int fd) {
-  dist::HelloMsg hello;
-  hello.schema = dist::kServeWireSchema;
-  dist::write_frame(fd, dist::MsgType::kHello, dist::encode_hello(hello));
-  const auto ack = dist::read_frame(fd);
-  if (!ack || ack->type != dist::MsgType::kHelloAck) {
+  wire::HelloMsg hello;
+  hello.schema = wire::kServeWireSchema;
+  wire::write_frame(fd, wire::MsgType::kHello, wire::encode_hello(hello));
+  const auto ack = wire::read_frame(fd);
+  if (!ack || ack->type != wire::MsgType::kHelloAck) {
     throw std::runtime_error("server rejected the handshake");
   }
-  dist::decode_hello_ack(ack->payload);
+  wire::decode_hello_ack(ack->payload);
 }
 
 struct DumpedDecision {
@@ -146,22 +146,22 @@ double reward_for(double mean, Xoshiro256& rng, RewardModel model) {
 /// One decide round trip on `fd`; returns the reply. `prefix_feedback`
 /// (possibly empty) is the previous decision's deferred Feedback frame,
 /// written in the same send so the server reports it before this decide.
-dist::DecideReplyMsg decide_round_trip(int fd, std::uint64_t request_id,
+wire::DecideReplyMsg decide_round_trip(int fd, std::uint64_t request_id,
                                        const std::string& user_key,
                                        const std::string& prefix_feedback) {
   std::string out = prefix_feedback;
-  dist::DecideRequestMsg request;
+  wire::DecideRequestMsg request;
   request.request_id = request_id;
   request.slot = request_id;
   request.user_key = user_key;
-  dist::append_frame(out, dist::MsgType::kDecideRequest,
-                     dist::encode_decide_request(request));
+  wire::append_frame(out, wire::MsgType::kDecideRequest,
+                     wire::encode_decide_request(request));
   send_all(fd, out);
-  const auto frame = dist::read_frame(fd);
-  if (!frame || frame->type != dist::MsgType::kDecideReply) {
+  const auto frame = wire::read_frame(fd);
+  if (!frame || frame->type != wire::MsgType::kDecideReply) {
     throw std::runtime_error("expected a DecideReply");
   }
-  dist::DecideReplyMsg reply = dist::decode_decide_reply(frame->payload);
+  wire::DecideReplyMsg reply = wire::decode_decide_reply(frame->payload);
   if (reply.request_id != request_id) {
     throw std::runtime_error("DecideReply for the wrong request");
   }
@@ -169,12 +169,12 @@ dist::DecideReplyMsg decide_round_trip(int fd, std::uint64_t request_id,
 }
 
 std::string encode_feedback_frame(std::uint64_t decision_id, double reward) {
-  dist::FeedbackMsg feedback;
+  wire::FeedbackMsg feedback;
   feedback.decision_id = decision_id;
   feedback.reward = reward;
   std::string out;
-  dist::append_frame(out, dist::MsgType::kFeedback,
-                     dist::encode_feedback(feedback));
+  wire::append_frame(out, wire::MsgType::kFeedback,
+                     wire::encode_feedback(feedback));
   return out;
 }
 
@@ -243,12 +243,12 @@ int main(int argc, char** argv) {
       threads.emplace_back([&, c] {
         const int fd = fds[c];
         Xoshiro256 rewards(derive_seed_at(config.seed + 1, c));
-        const auto dump_reply = [&](const dist::DecideReplyMsg& reply) {
+        const auto dump_reply = [&](const wire::DecideReplyMsg& reply) {
           if (dump_path.empty()) return;
           dumped[reply.request_id] = {reply.decision_id, reply.action,
                                       reply.propensity};
         };
-        const auto mean_of = [&](const dist::DecideReplyMsg& reply) {
+        const auto mean_of = [&](const wire::DecideReplyMsg& reply) {
           return means[std::min<std::size_t>(reply.action, means.size() - 1)];
         };
         try {
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
               lockstep_pending_feedback.clear();
               const std::string key = "user-" + std::to_string(i % keys);
               Timer rtt;
-              const dist::DecideReplyMsg reply =
+              const wire::DecideReplyMsg reply =
                   decide_round_trip(fd, i, key, prefix);
               histograms[c].record(
                   static_cast<std::uint64_t>(rtt.elapsed_seconds() * 1e9));
@@ -295,12 +295,12 @@ int main(int argc, char** argv) {
                 drained = true;
                 break;
               }
-              dist::DecideRequestMsg request;
+              wire::DecideRequestMsg request;
               request.request_id = i;
               request.slot = i;
               request.user_key = "user-" + std::to_string(i % keys);
-              dist::append_frame(outbox, dist::MsgType::kDecideRequest,
-                                 dist::encode_decide_request(request));
+              wire::append_frame(outbox, wire::MsgType::kDecideRequest,
+                                 wire::encode_decide_request(request));
               pending_starts.emplace_back(i, Timer());
               ++in_flight;
             }
@@ -309,12 +309,12 @@ int main(int argc, char** argv) {
               outbox.clear();
             }
             if (in_flight == 0) break;
-            const auto frame = dist::read_frame(fd);
-            if (!frame || frame->type != dist::MsgType::kDecideReply) {
+            const auto frame = wire::read_frame(fd);
+            if (!frame || frame->type != wire::MsgType::kDecideReply) {
               throw std::runtime_error("expected a DecideReply");
             }
-            const dist::DecideReplyMsg reply =
-                dist::decode_decide_reply(frame->payload);
+            const wire::DecideReplyMsg reply =
+                wire::decode_decide_reply(frame->payload);
             if (pending_starts.empty() ||
                 reply.request_id != pending_starts.front().first) {
               throw std::runtime_error("DecideReply out of order");

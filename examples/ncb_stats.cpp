@@ -24,9 +24,9 @@
 
 #include <cstring>
 
-#include "dist/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "util/arg_parse.hpp"
+#include "wire/serve_messages.hpp"
 
 namespace {
 
@@ -67,26 +67,26 @@ int connect_unix(const std::string& path) {
 }
 
 void handshake(int fd) {
-  dist::HelloMsg hello;
-  hello.schema = dist::kServeWireSchema;
-  dist::write_frame(fd, dist::MsgType::kHello, dist::encode_hello(hello));
-  const auto ack = dist::read_frame(fd);
-  if (!ack || ack->type != dist::MsgType::kHelloAck) {
+  wire::HelloMsg hello;
+  hello.schema = wire::kServeWireSchema;
+  wire::write_frame(fd, wire::MsgType::kHello, wire::encode_hello(hello));
+  const auto ack = wire::read_frame(fd);
+  if (!ack || ack->type != wire::MsgType::kHelloAck) {
     throw std::runtime_error("server rejected the handshake");
   }
-  dist::decode_hello_ack(ack->payload);
+  wire::decode_hello_ack(ack->payload);
 }
 
-dist::StatsReplyMsg poll_stats(int fd) {
-  dist::write_frame(fd, dist::MsgType::kStatsRequest, "");
-  const auto frame = dist::read_frame(fd);
-  if (!frame || frame->type != dist::MsgType::kStatsReply) {
+wire::StatsReplyMsg poll_stats(int fd) {
+  wire::write_frame(fd, wire::MsgType::kStatsRequest, "");
+  const auto frame = wire::read_frame(fd);
+  if (!frame || frame->type != wire::MsgType::kStatsReply) {
     throw std::runtime_error("expected a StatsReply");
   }
-  return dist::decode_stats_reply(frame->payload);
+  return wire::decode_stats_reply(frame->payload);
 }
 
-void print_raw(const dist::StatsReplyMsg& reply) {
+void print_raw(const wire::StatsReplyMsg& reply) {
   for (const obs::StatEntry& entry : reply.entries) {
     if (entry.kind == obs::kStatGauge) {
       std::cout << entry.name << ' '
@@ -99,7 +99,7 @@ void print_raw(const dist::StatsReplyMsg& reply) {
 
 /// Pretty table: one line per entry, counters annotated with the
 /// per-second rate against the previous poll (when one exists).
-void print_pretty(const dist::StatsReplyMsg& reply,
+void print_pretty(const wire::StatsReplyMsg& reply,
                   const std::map<std::string, std::uint64_t>& previous,
                   double interval_seconds) {
   for (const obs::StatEntry& entry : reply.entries) {
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
 
     std::map<std::string, std::uint64_t> previous;
     while (g_stop == 0) {
-      const dist::StatsReplyMsg reply = poll_stats(fd);
+      const wire::StatsReplyMsg reply = poll_stats(fd);
       if (raw) {
         print_raw(reply);
       } else {

@@ -34,11 +34,11 @@
 
 #include "core/policy_registry.hpp"
 #include "dist/coordinator.hpp"
-#include "dist/process.hpp"
 #include "dist/worker.hpp"
 #include "exp/emitters.hpp"
 #include "exp/shard_scheduler.hpp"
 #include "exp/sweep_runner.hpp"
+#include "net/process.hpp"
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
                       1, hardware / static_cast<std::size_t>(workers));
         dist_options.workers = static_cast<std::size_t>(workers);
         transport = std::make_unique<net::ProcessTransport>(
-            std::vector<std::string>{dist::self_exe_path(args.program()),
+            std::vector<std::string>{net::self_exe_path(args.program()),
                                      "--threads",
                                      std::to_string(per_worker)});
         std::cout << "sweep '" << spec.name << "': " << jobs.size()

@@ -44,8 +44,8 @@ DistSweepSummary run_distributed_sweep(const std::vector<exp::SweepJob>& jobs,
   kind.noun = "job";
   kind.schema = static_cast<std::uint32_t>(exp::kSweepSchemaVersion);
   kind.metrics_prefix = "dist.jobs";
-  kind.assign_type = MsgType::kJobAssign;
-  kind.result_type = MsgType::kJobResult;
+  kind.assign_type = wire::MsgType::kJobAssign;
+  kind.result_type = wire::MsgType::kJobResult;
   kind.encode = [&](const net::FarmTask& task, std::uint32_t attempt) {
     JobAssignMsg assign;
     assign.attempt = attempt;

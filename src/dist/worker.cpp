@@ -9,6 +9,7 @@
 #include <iostream>
 #include <thread>
 
+#include "dist/protocol.hpp"
 #include "exp/emitters.hpp"
 #include "exp/sweep_runner.hpp"
 #include "sim/thread_pool.hpp"
@@ -24,9 +25,9 @@ namespace {
 /// protocol mismatch.
 int worker_handshake(int fd, std::uint32_t schema, std::size_t threads,
                      const std::string& who) {
-  HelloMsg hello;
+  wire::HelloMsg hello;
   hello.schema = schema;
-  WorkerInfoMsg info;
+  wire::WorkerInfoMsg info;
   char hostname[256] = {0};
   if (::gethostname(hostname, sizeof hostname - 1) == 0) info.host = hostname;
   info.pid = static_cast<std::uint64_t>(::getpid());
@@ -34,17 +35,18 @@ int worker_handshake(int fd, std::uint32_t schema, std::size_t threads,
                      ? threads
                      : std::max(1u, std::thread::hardware_concurrency());
   try {
-    write_frame(fd, MsgType::kHello, encode_hello(hello));
-    write_frame(fd, MsgType::kWorkerInfo, encode_worker_info(info));
-    const std::optional<Frame> ack = read_frame(fd);
+    wire::write_frame(fd, wire::MsgType::kHello, wire::encode_hello(hello));
+    wire::write_frame(fd, wire::MsgType::kWorkerInfo,
+                      wire::encode_worker_info(info));
+    const std::optional<wire::Frame> ack = wire::read_frame(fd);
     if (!ack) return 1;  // coordinator vanished before the handshake
-    if (ack->type != MsgType::kHelloAck) {
+    if (ack->type != wire::MsgType::kHelloAck) {
       std::cerr << who << ": expected HelloAck, got "
-                << frame_type_name(ack->type) << '\n';
+                << wire::frame_type_name(ack->type) << '\n';
       return 2;
     }
-    decode_hello_ack(ack->payload);
-  } catch (const PeerClosedError&) {
+    wire::decode_hello_ack(ack->payload);
+  } catch (const wire::PeerClosedError&) {
     return 1;  // coordinator vanished mid-handshake — nothing was lost
   } catch (const std::exception& e) {
     std::cerr << who << ": handshake failed: " << e.what() << '\n';
@@ -57,12 +59,12 @@ class SweepJobHandler final : public AssignmentHandler {
  public:
   explicit SweepJobHandler(std::size_t threads) : pool_(threads) {}
 
-  [[nodiscard]] MsgType expects() const override {
-    return MsgType::kJobAssign;
+  [[nodiscard]] wire::MsgType expects() const override {
+    return wire::MsgType::kJobAssign;
   }
 
-  [[nodiscard]] std::optional<Frame> handle(const Frame& frame,
-                                            std::string& key) override {
+  [[nodiscard]] std::optional<wire::Frame> handle(
+      const wire::Frame& frame, std::string& key) override {
     const JobAssignMsg assign = decode_job_assign(frame.payload);
     key = assign.job.key;
     // See the crash-injection note in worker.hpp.
@@ -85,7 +87,7 @@ class SweepJobHandler final : public AssignmentHandler {
     result.seconds = outcome.seconds;
     result.shards = outcome.shards;
     result.shard_size = outcome.shard_size;
-    return Frame{MsgType::kJobResult, encode_job_result(result)};
+    return wire::Frame{wire::MsgType::kJobResult, encode_job_result(result)};
   }
 
  private:
@@ -109,29 +111,30 @@ int run_assignment_loop(int fd, std::uint32_t schema, std::size_t threads,
   }
 
   while (true) {
-    std::optional<Frame> frame;
+    std::optional<wire::Frame> frame;
     try {
-      frame = read_frame(fd);
-    } catch (const PeerClosedError&) {
+      frame = wire::read_frame(fd);
+    } catch (const wire::PeerClosedError&) {
       return 0;
     } catch (const std::exception& e) {
       std::cerr << who << ": read failed: " << e.what() << '\n';
       return 2;
     }
-    if (!frame || frame->type == MsgType::kShutdown) return 0;
+    if (!frame || frame->type == wire::MsgType::kShutdown) return 0;
     if (frame->type != handler.expects()) {
-      std::cerr << who << ": expected " << frame_type_name(handler.expects())
-                << ", got " << frame_type_name(frame->type) << '\n';
+      std::cerr << who << ": expected "
+                << wire::frame_type_name(handler.expects()) << ", got "
+                << wire::frame_type_name(frame->type) << '\n';
       return 2;
     }
 
     std::string key;
     std::string error;
     try {
-      const std::optional<Frame> reply = handler.handle(*frame, key);
-      if (reply) write_frame(fd, reply->type, reply->payload);
+      const std::optional<wire::Frame> reply = handler.handle(*frame, key);
+      if (reply) wire::write_frame(fd, reply->type, reply->payload);
       continue;
-    } catch (const PeerClosedError&) {
+    } catch (const wire::PeerClosedError&) {
       return 0;  // coordinator gone; it will requeue the task elsewhere
     } catch (const std::exception& e) {
       error = e.what();
@@ -141,10 +144,11 @@ int run_assignment_loop(int fd, std::uint32_t schema, std::size_t threads,
     // whole run — report it so the coordinator aborts with the real
     // message instead of requeueing a task that can never succeed.
     try {
-      WorkerErrorMsg report;
+      wire::WorkerErrorMsg report;
       report.key = key;
       report.message = error;
-      write_frame(fd, MsgType::kWorkerError, encode_worker_error(report));
+      wire::write_frame(fd, wire::MsgType::kWorkerError,
+                        wire::encode_worker_error(report));
     } catch (const std::exception&) {
       // Coordinator already gone; the exit code still says "error".
     }

@@ -12,7 +12,7 @@
 #include <optional>
 #include <string>
 
-#include "dist/protocol.hpp"
+#include "wire/frame.hpp"
 
 namespace ncb::dist {
 
@@ -22,13 +22,13 @@ class AssignmentHandler {
   virtual ~AssignmentHandler() = default;
   /// The frame type this handler accepts next. Any other frame (Shutdown
   /// aside) ends the loop with exit 2.
-  [[nodiscard]] virtual MsgType expects() const = 0;
+  [[nodiscard]] virtual wire::MsgType expects() const = 0;
   /// Handles one frame of type expects(): returns the reply to send, or
   /// nullopt when the frame needs none (a setup frame). Sets `key` to the
   /// task the frame names as soon as it is decoded, so that an exception
   /// is reported to the coordinator against that task.
-  [[nodiscard]] virtual std::optional<Frame> handle(const Frame& frame,
-                                                    std::string& key) = 0;
+  [[nodiscard]] virtual std::optional<wire::Frame> handle(
+      const wire::Frame& frame, std::string& key) = 0;
 };
 
 /// Runs one worker until Shutdown or coordinator EOF: the admission

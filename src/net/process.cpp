@@ -1,4 +1,4 @@
-#include "dist/process.hpp"
+#include "net/process.hpp"
 
 #include <fcntl.h>
 #include <signal.h>
@@ -10,7 +10,7 @@
 #include <cstring>
 #include <stdexcept>
 
-namespace ncb::dist {
+namespace ncb::net {
 
 std::string self_exe_path(const std::string& argv0) {
   char buf[4096];
@@ -75,4 +75,4 @@ void kill_worker(pid_t pid, int signal) {
   if (pid > 0) ::kill(pid, signal);
 }
 
-}  // namespace ncb::dist
+}  // namespace ncb::net

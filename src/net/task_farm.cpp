@@ -23,7 +23,7 @@ class Farm {
             kind.metrics_prefix + ".requeued")),
         pool_(pool_options(),
               {[this](PoolWorker& worker) { admitted(worker); },
-               [this](PoolWorker& worker, const dist::Frame& frame) {
+               [this](PoolWorker& worker, const wire::Frame& frame) {
                  handle_frame(worker, frame);
                },
                [this](PoolWorker& worker) { lost(worker); }}) {
@@ -82,7 +82,7 @@ class Farm {
   }
 
   void admitted(PoolWorker& worker) {
-    for (const dist::Frame& frame : kind_.preamble) {
+    for (const wire::Frame& frame : kind_.preamble) {
       if (worker.peer.fd < 0) return;  // a failed send released it
       pool_.send(worker, frame.type, frame.payload);
     }
@@ -135,7 +135,7 @@ class Farm {
     while (pool_.live() < wanted) pool_.spawn(1);
   }
 
-  void handle_frame(PoolWorker& worker, const dist::Frame& frame) {
+  void handle_frame(PoolWorker& worker, const wire::Frame& frame) {
     if (frame.type == kind_.result_type) {
       if (worker.user_tag < 0) {
         throw std::runtime_error("protocol violation: a " + kind_.noun +
@@ -153,15 +153,15 @@ class Farm {
       dispatch(worker);
       return;
     }
-    if (frame.type == dist::MsgType::kWorkerError) {
-      const dist::WorkerErrorMsg error =
-          dist::decode_worker_error(frame.payload);
+    if (frame.type == wire::MsgType::kWorkerError) {
+      const wire::WorkerErrorMsg error =
+          wire::decode_worker_error(frame.payload);
       throw std::runtime_error("worker failed on " + kind_.noun + " '" +
                                error.key + "': " + error.message);
     }
     throw std::runtime_error(
         "protocol violation: unexpected frame type " +
-        dist::frame_type_label(static_cast<std::uint8_t>(frame.type)) +
+        wire::frame_type_label(static_cast<std::uint8_t>(frame.type)) +
         " from a worker");
   }
 

@@ -44,9 +44,9 @@
 #include <string>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "net/transport.hpp"
 #include "net/worker_pool.hpp"
+#include "wire/frame.hpp"
 
 namespace ncb::net {
 
@@ -65,10 +65,10 @@ struct TaskKind {
   std::uint32_t schema = 0;    ///< Hello schema word workers present.
   /// Registry prefix: "<prefix>.queued" gauge, "<prefix>.requeued" counter.
   std::string metrics_prefix;
-  dist::MsgType assign_type = dist::MsgType::kJobAssign;
-  dist::MsgType result_type = dist::MsgType::kJobResult;
+  wire::MsgType assign_type = wire::MsgType::kJobAssign;
+  wire::MsgType result_type = wire::MsgType::kJobResult;
   /// Frames every worker receives on admission, before its first task.
-  std::vector<dist::Frame> preamble;
+  std::vector<wire::Frame> preamble;
   /// Assignment payload for `task` on `attempt` (1-based).
   std::function<std::string(const FarmTask& task, std::uint32_t attempt)>
       encode;

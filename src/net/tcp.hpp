@@ -1,7 +1,7 @@
 // TCP plumbing for the multi-machine transport: host:port parsing with
 // flag-named errors, nonblocking connect with a timeout, and a listening
 // socket. Everything above this file only ever sees connected stream fds —
-// the dist/protocol framing and the worker loops are transport-agnostic by
+// the wire/ framing and the worker loops are transport-agnostic by
 // construction, so this is the whole cost of going multi-machine.
 //
 // Error style: every failure names the endpoint (and, for parse errors,

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dist/process.hpp"
+#include "net/process.hpp"
 
 namespace ncb::net {
 
@@ -26,7 +26,7 @@ ProcessTransport::ProcessTransport(std::vector<std::string> worker_command)
 }
 
 Peer ProcessTransport::spawn_peer() {
-  const dist::WorkerProcess proc = dist::spawn_worker(worker_command_);
+  const WorkerProcess proc = spawn_worker(worker_command_);
   Peer peer;
   peer.fd = proc.fd;
   peer.pid = proc.pid;
@@ -42,8 +42,8 @@ void ProcessTransport::release_peer(Peer& peer) {
   if (peer.pid > 0) {
     // SIGKILL is safe on an already-exited child: it stays a zombie (and
     // thus holds its pid) until the reap below.
-    dist::kill_worker(peer.pid, SIGKILL);
-    dist::reap_worker(peer.pid);
+    kill_worker(peer.pid, SIGKILL);
+    reap_worker(peer.pid);
     peer.pid = -1;
   }
 }

@@ -58,7 +58,7 @@ class StreamTransport {
 };
 
 /// Spawns workers as child processes of this coordinator over AF_UNIX
-/// socketpairs (the original src/dist/ path).
+/// socketpairs (net/process.hpp).
 class ProcessTransport final : public StreamTransport {
  public:
   explicit ProcessTransport(std::vector<std::string> worker_command);

@@ -111,11 +111,11 @@ void WorkerPool::worker_released(PoolWorker& worker) {
   worker.user_tag = -1;
 }
 
-void WorkerPool::send(PoolWorker& worker, dist::MsgType type,
+void WorkerPool::send(PoolWorker& worker, wire::MsgType type,
                       const std::string& payload) {
   if (worker.peer.fd < 0) return;
   try {
-    dist::write_frame(worker.peer.fd, type, payload);
+    wire::write_frame(worker.peer.fd, type, payload);
     worker.bytes_out += kFrameOverhead + payload.size();
     m_bytes_out_.inc(kFrameOverhead + payload.size());
   } catch (const std::exception&) {
@@ -126,11 +126,11 @@ void WorkerPool::send(PoolWorker& worker, dist::MsgType type,
 void WorkerPool::send_shutdown(PoolWorker& worker) {
   if (worker.shutdown_sent || worker.peer.fd < 0) return;
   worker.shutdown_sent = true;
-  send(worker, dist::MsgType::kShutdown, "");
+  send(worker, wire::MsgType::kShutdown, "");
 }
 
 void WorkerPool::handle_handshake_frame(PoolWorker& worker,
-                                        const dist::Frame& frame) {
+                                        const wire::Frame& frame) {
   // Pre-admission misbehavior is fatal on a spawn transport (our own
   // binary speaking the wrong schema means a build mismatch — say so) but
   // merely disqualifying on an accept transport (anything can dial a TCP
@@ -138,10 +138,10 @@ void WorkerPool::handle_handshake_frame(PoolWorker& worker,
   const bool accept_based = transport_->listen_fd() >= 0;
   std::string reject;
   if (!worker.hello_seen) {
-    if (frame.type == dist::MsgType::kHello) {
-      const dist::HelloMsg hello = dist::decode_hello(frame.payload);
+    if (frame.type == wire::MsgType::kHello) {
+      const wire::HelloMsg hello = wire::decode_hello(frame.payload);
       const auto mismatch =
-          dist::validate_hello(hello, options_.expected_schema);
+          wire::validate_hello(hello, options_.expected_schema);
       if (!mismatch) {
         worker.hello_seen = true;
         return;
@@ -149,15 +149,15 @@ void WorkerPool::handle_handshake_frame(PoolWorker& worker,
       reject = *mismatch;
     } else {
       reject = "expected Hello, got " +
-               std::string(dist::frame_type_name(frame.type));
+               std::string(wire::frame_type_name(frame.type));
     }
   } else {
-    if (frame.type == dist::MsgType::kWorkerInfo) {
-      const dist::WorkerInfoMsg info = dist::decode_worker_info(frame.payload);
+    if (frame.type == wire::MsgType::kWorkerInfo) {
+      const wire::WorkerInfoMsg info = wire::decode_worker_info(frame.payload);
       worker.host = info.host;
       worker.remote_pid = info.pid;
       worker.remote_threads = info.threads;
-      send(worker, dist::MsgType::kHelloAck, dist::encode_hello_ack());
+      send(worker, wire::MsgType::kHelloAck, wire::encode_hello_ack());
       if (worker.peer.fd < 0) return;  // ack write failed → released
       worker.id = next_id_++;
       worker.admitted = true;
@@ -175,7 +175,7 @@ void WorkerPool::handle_handshake_frame(PoolWorker& worker,
       return;
     }
     reject = "expected WorkerInfo, got " +
-             std::string(dist::frame_type_name(frame.type));
+             std::string(wire::frame_type_name(frame.type));
   }
 
   if (!accept_based) throw std::runtime_error(reject);

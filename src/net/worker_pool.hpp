@@ -25,10 +25,10 @@
 #include <utility>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "util/timer.hpp"
+#include "wire/frame.hpp"
 
 namespace ncb::net {
 
@@ -37,7 +37,7 @@ namespace ncb::net {
 /// interprets it beyond "idle or not" for clean-release accounting.
 struct PoolWorker {
   Peer peer;
-  dist::FrameDecoder decoder;
+  wire::FrameDecoder decoder;
   std::size_t id = 0;       ///< Stable admission-order id (display).
   std::string host;         ///< Self-reported hostname (WorkerInfo).
   std::uint64_t remote_pid = 0;
@@ -94,7 +94,7 @@ class WorkerPool {
     /// A worker completed the handshake and is ready for frames.
     std::function<void(PoolWorker&)> on_admitted;
     /// A post-admission frame arrived (anything but the handshake).
-    std::function<void(PoolWorker&, const dist::Frame&)> on_frame;
+    std::function<void(PoolWorker&, const wire::Frame&)> on_frame;
     /// An admitted worker was lost uncleanly. Fired with `user_tag`
     /// still intact so the coordinator can requeue; the pool resets the
     /// tag afterwards.
@@ -123,7 +123,7 @@ class WorkerPool {
 
   /// Frame write with byte accounting; a failed write releases the worker
   /// through the loss path (so on_lost may fire reentrantly).
-  void send(PoolWorker& worker, dist::MsgType type,
+  void send(PoolWorker& worker, wire::MsgType type,
             const std::string& payload);
   /// Sends Shutdown once; the worker is released cleanly when its stream
   /// reaches EOF afterwards.
@@ -144,7 +144,7 @@ class WorkerPool {
  private:
   void admit_pending();
   void read_ready(PoolWorker& worker);
-  void handle_handshake_frame(PoolWorker& worker, const dist::Frame& frame);
+  void handle_handshake_frame(PoolWorker& worker, const wire::Frame& frame);
   void worker_released(PoolWorker& worker);
   void charge_admission_budget(const std::string& why);
   void update_worker_gauges(PoolWorker& worker);

@@ -8,18 +8,18 @@
 #include <string_view>
 
 #include "core/policy_registry.hpp"
-#include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "exp/sweep_spec.hpp"
+#include "wire/frame.hpp"
 
 namespace ncb::replay {
 
 namespace {
 
-using dist::Frame;
-using dist::MsgType;
-using dist::WireReader;
-using dist::WireWriter;
+using wire::Frame;
+using wire::MsgType;
+using wire::WireReader;
+using wire::WireWriter;
 
 /// Target encoded size of one ReplayEvents chunk. Well under the 16 MiB
 /// frame cap with room for the longest plausible key; small enough that a
@@ -240,7 +240,7 @@ class ReplayCandidateHandler final : public dist::AssignmentHandler {
       // Reserve the announced stream only if the announced chunks could
       // carry it (no overflow: chunks < 2^32, records per chunk < 2^20).
       if (init_->total_records > std::uint64_t{init_->chunks} *
-                                     (dist::kMaxFramePayload /
+                                     (wire::kMaxFramePayload /
                                       serve::kMinEventRecordBytes)) {
         throw std::invalid_argument(
             "replay init: " + std::to_string(init_->total_records) +

@@ -14,7 +14,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "dist/protocol.hpp"
+#include "wire/frame.hpp"
 
 namespace ncb::serve {
 
@@ -54,7 +54,7 @@ EventLog::EventLog(Options options)
     throw std::runtime_error("event log: cannot open '" + options_.path +
                              "': " + std::strerror(errno));
   }
-  dist::WireWriter header;
+  wire::WireWriter header;
   header.put_u32(kEventLogMagic);
   header.put_u32(kEventLogVersion);
   const std::string bytes = header.take();
@@ -222,9 +222,9 @@ void append_event_record(std::string& out, const EventRecord& record) {
   if (length > kMaxRecordPayload) {
     throw std::invalid_argument("event log: record payload too large");
   }
-  dist::append_frame_header(out, static_cast<std::uint32_t>(length),
+  wire::append_frame_header(out, static_cast<std::uint32_t>(length),
                             static_cast<std::uint8_t>(record.type));
-  dist::WireWriter payload(out);
+  wire::WireWriter payload(out);
   payload.put_u64(record.decision_id);
   if (decision) {
     payload.put_string(record.key);
@@ -238,9 +238,9 @@ void append_event_record(std::string& out, const EventRecord& record) {
 std::size_t scan_event_records(std::string_view bytes,
                                std::vector<EventRecord>& out) {
   std::size_t at = 0;
-  while (bytes.size() - at >= dist::kFrameHeaderBytes) {
-    const dist::FrameHeader header =
-        dist::parse_frame_header(bytes.data() + at);
+  while (bytes.size() - at >= wire::kFrameHeaderBytes) {
+    const wire::FrameHeader header =
+        wire::parse_frame_header(bytes.data() + at);
     if (header.length > kMaxRecordPayload) {
       throw std::invalid_argument("event log: oversized record (" +
                                   std::to_string(header.length) +
@@ -252,10 +252,10 @@ std::size_t scan_event_records(std::string_view bytes,
                                   std::to_string(header.type) + " at offset " +
                                   std::to_string(at));
     }
-    const std::size_t end = at + dist::kFrameHeaderBytes + header.length;
+    const std::size_t end = at + wire::kFrameHeaderBytes + header.length;
     if (end > bytes.size()) break;  // complete header, incomplete payload
-    dist::WireReader payload(
-        bytes.substr(at + dist::kFrameHeaderBytes, header.length));
+    wire::WireReader payload(
+        bytes.substr(at + wire::kFrameHeaderBytes, header.length));
     EventRecord record;
     record.type = static_cast<EventType>(header.type);
     // A complete record that fails to decode is corruption, not truncation:
@@ -296,11 +296,11 @@ EventLogScan read_event_log(const std::string& path) {
     scan.truncated_tail = true;  // not even a complete header
     return scan;
   }
-  if (dist::load_le<std::uint32_t>(data.data()) != kEventLogMagic) {
+  if (wire::load_le<std::uint32_t>(data.data()) != kEventLogMagic) {
     throw std::invalid_argument("event log: bad magic in '" + path +
                                 "' (not an ncb event log)");
   }
-  scan.version = dist::load_le<std::uint32_t>(data.data() + 4);
+  scan.version = wire::load_le<std::uint32_t>(data.data() + 4);
   if (scan.version != kEventLogVersion) {
     throw std::invalid_argument(
         "event log: unsupported version " + std::to_string(scan.version) +

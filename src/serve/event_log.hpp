@@ -3,8 +3,8 @@
 // The log is the durable source of truth for counterfactual evaluation
 // (the MWT Decision Service model): every decision lands as a
 // (decision_id, key, action, propensity) record, every reward join as a
-// (decision_id, reward) record. Records reuse the dist/protocol wire
-// codecs (WireWriter/WireReader) and its frame header:
+// (decision_id, reward) record. Records reuse the wire/frame.hpp codecs
+// (WireWriter/WireReader) and its frame header:
 //
 //     file     := header record*
 //     header   := u32 magic "NCBL" | u32 version

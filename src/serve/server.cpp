@@ -14,9 +14,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "exp/emitters.hpp"
 #include "obs/scoped_timer.hpp"
+#include "wire/serve_messages.hpp"
 
 namespace ncb::serve {
 
@@ -26,7 +26,7 @@ using Clock = std::chrono::steady_clock;
 
 struct Conn {
   int fd = -1;
-  dist::FrameDecoder decoder;
+  wire::FrameDecoder decoder;
   std::string outbuf;      ///< Framed replies awaiting the socket.
   std::size_t sent = 0;    ///< Prefix of outbuf already written.
   bool handshaken = false;
@@ -239,53 +239,53 @@ class Reactor {
     if (conn.fd >= 0) write_ready(conn);
   }
 
-  void handle_frame(Conn& conn, const dist::Frame& frame) {
+  void handle_frame(Conn& conn, const wire::Frame& frame) {
     if (!conn.handshaken) {
-      if (frame.type != dist::MsgType::kHello) {
+      if (frame.type != wire::MsgType::kHello) {
         drop(conn, ("expected Hello, got " +
-                    std::string(dist::frame_type_name(frame.type)))
+                    std::string(wire::frame_type_name(frame.type)))
                        .c_str());
         return;
       }
-      const dist::HelloMsg hello = dist::decode_hello(frame.payload);
-      const auto mismatch = dist::validate_hello(hello, dist::kServeWireSchema);
+      const wire::HelloMsg hello = wire::decode_hello(frame.payload);
+      const auto mismatch = wire::validate_hello(hello, wire::kServeWireSchema);
       if (mismatch) {
         drop(conn, mismatch->c_str());
         return;
       }
       conn.handshaken = true;
-      dist::append_frame(conn.outbuf, dist::MsgType::kHelloAck,
-                         dist::encode_hello_ack());
+      wire::append_frame(conn.outbuf, wire::MsgType::kHelloAck,
+                         wire::encode_hello_ack());
       return;
     }
     switch (frame.type) {
-      case dist::MsgType::kDecideRequest: {
+      case wire::MsgType::kDecideRequest: {
         const obs::ScopedTimer timer(m_decide_latency_);
-        const dist::DecideRequestMsg request =
-            dist::decode_decide_request(frame.payload);
+        const wire::DecideRequestMsg request =
+            wire::decode_decide_request(frame.payload);
         const Decision decision = engine_.decide(request.user_key, request.slot);
-        dist::DecideReplyMsg reply;
+        wire::DecideReplyMsg reply;
         reply.request_id = request.request_id;
         reply.slot = request.slot;
         reply.decision_id = decision.decision_id;
         reply.action = static_cast<std::uint32_t>(decision.action);
         reply.propensity = decision.propensity;
-        dist::append_frame(conn.outbuf, dist::MsgType::kDecideReply,
-                           dist::encode_decide_reply(reply));
+        wire::append_frame(conn.outbuf, wire::MsgType::kDecideReply,
+                           wire::encode_decide_reply(reply));
         ++stats_.decide_requests;
         m_decides_.inc();
         return;
       }
-      case dist::MsgType::kFeedback: {
+      case wire::MsgType::kFeedback: {
         const obs::ScopedTimer timer(m_feedback_latency_);
-        const dist::FeedbackMsg feedback =
-            dist::decode_feedback(frame.payload);
+        const wire::FeedbackMsg feedback =
+            wire::decode_feedback(frame.payload);
         engine_.report(feedback.decision_id, feedback.reward);
         ++stats_.feedback_frames;
         m_feedbacks_.inc();
         return;
       }
-      case dist::MsgType::kStatsRequest: {
+      case wire::MsgType::kStatsRequest: {
         // Metrics poll: reply from the registry alone — no engine call, no
         // log write, so polling mid-run cannot perturb serving.
         if (!frame.payload.empty()) {
@@ -293,15 +293,15 @@ class Reactor {
           return;
         }
         m_stats_requests_.inc();
-        dist::StatsReplyMsg reply;
+        wire::StatsReplyMsg reply;
         reply.entries = registry_.snapshot().flatten();
-        dist::append_frame(conn.outbuf, dist::MsgType::kStatsReply,
-                           dist::encode_stats_reply(reply));
+        wire::append_frame(conn.outbuf, wire::MsgType::kStatsReply,
+                           wire::encode_stats_reply(reply));
         return;
       }
       default:
         drop(conn, ("unexpected " +
-                    std::string(dist::frame_type_name(frame.type)) +
+                    std::string(wire::frame_type_name(frame.type)) +
                     " frame from a serve client")
                        .c_str());
     }

@@ -2,7 +2,7 @@
 //
 // One thread owns every connection: an AF_UNIX listening socket plus N
 // accepted nonblocking clients multiplexed through poll(). Clients speak
-// the dist/protocol length-prefixed framing — a versioned Hello/HelloAck
+// the wire/ length-prefixed framing — a versioned Hello/HelloAck
 // handshake (schema word kServeWireSchema) followed by any interleaving of
 // DecideRequest (answered with a DecideReply), Feedback (one-way), and
 // StatsRequest (answered with a StatsReply holding the flattened metrics

@@ -1,8 +1,9 @@
-// Dispatch layer (src/dist/): wire-format round-trips, frame decoding
-// against truncated/oversized/garbage input, versioned-handshake rejection,
-// and the worker loop driven in-process over a socketpair — including the
-// determinism contract that a job's record line is byte-identical whether
-// rendered by a worker or by the in-process engine, on any attempt.
+// Dispatch layer (src/dist/) and the wire/ framing it rides on: wire-format
+// round-trips, frame decoding against truncated/oversized/garbage input,
+// versioned-handshake rejection, and the worker loop driven in-process over
+// a socketpair — including the determinism contract that a job's record
+// line is byte-identical whether rendered by a worker or by the in-process
+// engine, on any attempt.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -16,9 +17,13 @@
 #include "dist/worker.hpp"
 #include "exp/emitters.hpp"
 #include "exp/sweep_runner.hpp"
+#include "wire/frame.hpp"
+#include "wire/serve_messages.hpp"
 
 namespace ncb::dist {
 namespace {
+
+using namespace wire;  // The framing and admission codecs under test.
 
 exp::SweepJob make_test_job() {
   exp::SweepJob job;

@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "dist/protocol.hpp"
+#include "wire/frame.hpp"
 
 namespace fs = std::filesystem;
 
@@ -286,7 +286,7 @@ TEST(EventLogReader, StructuralCorruptionThrows) {
   }
   {  // A complete record whose payload does not decode (short payload with
      // a consistent length header) is corruption, not truncation.
-    dist::WireWriter header;
+    wire::WireWriter header;
     header.put_u32(kEventLogMagic);
     header.put_u32(kEventLogVersion);
     std::string bad = header.take();

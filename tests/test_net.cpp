@@ -24,13 +24,13 @@
 #include <utility>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "exp/emitters.hpp"
 #include "net/task_farm.hpp"
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
 #include "net/worker_pool.hpp"
+#include "wire/frame.hpp"
 
 namespace ncb::net {
 namespace {
@@ -100,17 +100,17 @@ TEST(Tcp, LoopbackFrameRoundTripWithNodelay) {
   EXPECT_NE(nodelay, 0);
 
   const std::string payload(100000, 'x');
-  dist::write_frame(client, dist::MsgType::kJobResult, payload);
-  const auto frame = dist::read_frame(server);
+  wire::write_frame(client, wire::MsgType::kJobResult, payload);
+  const auto frame = wire::read_frame(server);
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, dist::MsgType::kJobResult);
+  EXPECT_EQ(frame->type, wire::MsgType::kJobResult);
   EXPECT_EQ(frame->payload, payload);
 
   // And back the other way.
-  dist::write_frame(server, dist::MsgType::kShutdown, "");
-  const auto reply = dist::read_frame(client);
+  wire::write_frame(server, wire::MsgType::kShutdown, "");
+  const auto reply = wire::read_frame(client);
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, dist::MsgType::kShutdown);
+  EXPECT_EQ(reply->type, wire::MsgType::kShutdown);
 
   ::close(client);
   ::close(server);
@@ -174,24 +174,24 @@ struct TcpPair {
   }
 };
 
-std::string frame_bytes(dist::MsgType type, const std::string& payload) {
+std::string frame_bytes(wire::MsgType type, const std::string& payload) {
   std::string out;
-  dist::append_frame(out, type, payload);
+  wire::append_frame(out, type, payload);
   return out;
 }
 
 TEST(Tcp, DecoderHandlesByteAtATimeDelivery) {
   TcpPair pair;
   ASSERT_GE(pair.server, 0);
-  const std::string wire =
-      frame_bytes(dist::MsgType::kHello, "a") +
-      frame_bytes(dist::MsgType::kJobResult, std::string(300, 'b')) +
-      frame_bytes(dist::MsgType::kShutdown, "");
+  const std::string stream =
+      frame_bytes(wire::MsgType::kHello, "a") +
+      frame_bytes(wire::MsgType::kJobResult, std::string(300, 'b')) +
+      frame_bytes(wire::MsgType::kShutdown, "");
 
-  dist::FrameDecoder decoder;
-  std::vector<dist::Frame> frames;
+  wire::FrameDecoder decoder;
+  std::vector<wire::Frame> frames;
   char byte;
-  for (const char c : wire) {
+  for (const char c : stream) {
     // One byte through the real socket per turn — the worst segmentation
     // TCP can legally deliver.
     ASSERT_EQ(::send(pair.client, &c, 1, 0), 1);
@@ -200,9 +200,9 @@ TEST(Tcp, DecoderHandlesByteAtATimeDelivery) {
     while (auto frame = decoder.next()) frames.push_back(std::move(*frame));
   }
   ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].type, dist::MsgType::kHello);
+  EXPECT_EQ(frames[0].type, wire::MsgType::kHello);
   EXPECT_EQ(frames[1].payload, std::string(300, 'b'));
-  EXPECT_EQ(frames[2].type, dist::MsgType::kShutdown);
+  EXPECT_EQ(frames[2].type, wire::MsgType::kShutdown);
 }
 
 TEST(Tcp, DecoderSurvivesFuzzedPartialChunksOverSocket) {
@@ -214,30 +214,30 @@ TEST(Tcp, DecoderSurvivesFuzzedPartialChunksOverSocket) {
   ASSERT_GE(pair.server, 0);
 
   std::vector<std::string> payloads;
-  std::string wire;
+  std::string stream;
   std::uniform_int_distribution<int> size_dist(0, 4000);
   for (int i = 0; i < 40; ++i) {
     std::string payload(static_cast<std::size_t>(size_dist(rng)), '\0');
     for (char& c : payload) c = static_cast<char>(rng() & 0xff);
     payloads.push_back(payload);
-    wire += frame_bytes(dist::MsgType::kJobResult, payload);
+    stream += frame_bytes(wire::MsgType::kJobResult, payload);
   }
 
   std::thread sender([&] {
     std::mt19937 chunk_rng(7);
     std::uniform_int_distribution<std::size_t> chunk_dist(1, 977);
     std::size_t at = 0;
-    while (at < wire.size()) {
-      const std::size_t n = std::min(chunk_dist(chunk_rng), wire.size() - at);
-      ASSERT_EQ(::send(pair.client, wire.data() + at, n, 0),
+    while (at < stream.size()) {
+      const std::size_t n = std::min(chunk_dist(chunk_rng), stream.size() - at);
+      ASSERT_EQ(::send(pair.client, stream.data() + at, n, 0),
                 static_cast<ssize_t>(n));
       at += n;
     }
     ::shutdown(pair.client, SHUT_WR);
   });
 
-  dist::FrameDecoder decoder;
-  std::vector<dist::Frame> frames;
+  wire::FrameDecoder decoder;
+  std::vector<wire::Frame> frames;
   char buffer[1024];
   for (;;) {
     const ssize_t n = ::recv(pair.server, buffer, sizeof(buffer), 0);
@@ -270,18 +270,18 @@ TEST(Tcp, WorkerHandshakeVersionMismatchOverTcp) {
 
   // Coordinator side: the Hello and WorkerInfo arrive over real TCP, then
   // the ack claims a future protocol version — the worker must refuse.
-  const auto hello = dist::read_frame(pair.server);
+  const auto hello = wire::read_frame(pair.server);
   ASSERT_TRUE(hello.has_value());
-  ASSERT_EQ(hello->type, dist::MsgType::kHello);
-  const auto info = dist::read_frame(pair.server);
+  ASSERT_EQ(hello->type, wire::MsgType::kHello);
+  const auto info = wire::read_frame(pair.server);
   ASSERT_TRUE(info.has_value());
-  ASSERT_EQ(info->type, dist::MsgType::kWorkerInfo);
-  const dist::WorkerInfoMsg identity =
-      dist::decode_worker_info(info->payload);
+  ASSERT_EQ(info->type, wire::MsgType::kWorkerInfo);
+  const wire::WorkerInfoMsg identity =
+      wire::decode_worker_info(info->payload);
   EXPECT_FALSE(identity.host.empty());
-  dist::WireWriter bad_ack;
-  bad_ack.put_u32(dist::kProtocolVersion + 1);
-  dist::write_frame(pair.server, dist::MsgType::kHelloAck, bad_ack.take());
+  wire::WireWriter bad_ack;
+  bad_ack.put_u32(wire::kProtocolVersion + 1);
+  wire::write_frame(pair.server, wire::MsgType::kHelloAck, bad_ack.take());
 
   worker.join();
   EXPECT_EQ(exit_code, 2);
@@ -414,16 +414,16 @@ TEST(WorkerPool, LostWorkerFiresOnLostWithTagIntact) {
   // Hand-rolled peer: complete the handshake (schema 77), then vanish.
   std::thread peer([&] {
     const int fd = tcp_connect_retry(transport.bound(), 2000, 5000);
-    dist::HelloMsg hello;
+    wire::HelloMsg hello;
     hello.schema = 77;
-    dist::write_frame(fd, dist::MsgType::kHello, dist::encode_hello(hello));
-    dist::WorkerInfoMsg info;
+    wire::write_frame(fd, wire::MsgType::kHello, wire::encode_hello(hello));
+    wire::WorkerInfoMsg info;
     info.host = "testhost";
     info.pid = 1234;
     info.threads = 2;
-    dist::write_frame(fd, dist::MsgType::kWorkerInfo,
-                      dist::encode_worker_info(info));
-    const auto ack = dist::read_frame(fd);
+    wire::write_frame(fd, wire::MsgType::kWorkerInfo,
+                      wire::encode_worker_info(info));
+    const auto ack = wire::read_frame(fd);
     EXPECT_TRUE(ack.has_value());
     ::close(fd);  // SIGKILL stand-in: gone with an assignment in flight
   });
@@ -456,31 +456,31 @@ struct FakeLog {
 /// The protocol half of run_fake_worker (below).
 void serve_fake_assignments(int fd, FakeLog& log,
                             const std::function<bool(const FakeLog&)>& survive) {
-  dist::HelloMsg hello;
+  wire::HelloMsg hello;
   hello.schema = kFarmSchema;
-  dist::write_frame(fd, dist::MsgType::kHello, dist::encode_hello(hello));
-  dist::WorkerInfoMsg info;
+  wire::write_frame(fd, wire::MsgType::kHello, wire::encode_hello(hello));
+  wire::WorkerInfoMsg info;
   info.host = "fake";
   info.pid = 1;
   info.threads = 1;
-  dist::write_frame(fd, dist::MsgType::kWorkerInfo,
-                    dist::encode_worker_info(info));
-  std::optional<dist::Frame> frame = dist::read_frame(fd);
-  ASSERT_TRUE(frame && frame->type == dist::MsgType::kHelloAck);
-  while ((frame = dist::read_frame(fd))) {
-    if (frame->type == dist::MsgType::kShutdown) {
+  wire::write_frame(fd, wire::MsgType::kWorkerInfo,
+                    wire::encode_worker_info(info));
+  std::optional<wire::Frame> frame = wire::read_frame(fd);
+  ASSERT_TRUE(frame && frame->type == wire::MsgType::kHelloAck);
+  while ((frame = wire::read_frame(fd))) {
+    if (frame->type == wire::MsgType::kShutdown) {
       log.shutdown = true;
       break;
     }
-    EXPECT_EQ(frame->type, dist::MsgType::kJobAssign);
-    dist::WireReader in(frame->payload);
+    EXPECT_EQ(frame->type, wire::MsgType::kJobAssign);
+    wire::WireReader in(frame->payload);
     const std::uint64_t id = in.get_u64();
     const std::uint32_t attempt = in.get_u32();
     log.assigned.emplace_back(id, attempt);
     if (!survive(log)) break;
-    dist::WireWriter out;
+    wire::WireWriter out;
     out.put_u64(id);
-    dist::write_frame(fd, dist::MsgType::kJobResult, out.take());
+    wire::write_frame(fd, wire::MsgType::kJobResult, out.take());
   }
 }
 
@@ -524,14 +524,14 @@ TaskKind echo_kind(std::vector<std::size_t>& filed) {
   kind.schema = kFarmSchema;
   kind.metrics_prefix = "test.farm";
   kind.encode = [](const FarmTask& task, std::uint32_t attempt) {
-    dist::WireWriter out;
+    wire::WireWriter out;
     out.put_u64(task.id);
     out.put_u32(attempt);
     return out.take();
   };
   kind.file_result = [&filed](const FarmTask& task, std::uint32_t,
                               const std::string& payload, const PoolWorker&) {
-    dist::WireReader in(payload);
+    wire::WireReader in(payload);
     const std::uint64_t id = in.get_u64();
     in.finish();
     if (id != task.id) return false;

@@ -10,10 +10,10 @@
 #include <thread>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "util/histogram.hpp"
+#include "wire/serve_messages.hpp"
 
 namespace ncb::obs {
 namespace {
@@ -167,12 +167,12 @@ TEST(MetricsSnapshot, StatsReplyWireRoundTrip) {
   registry.counter("c").inc(3);
   registry.gauge("g").set(-1);
   registry.histogram("h").record(99);
-  dist::StatsReplyMsg msg;
+  wire::StatsReplyMsg msg;
   for (const StatEntry& entry : registry.snapshot().flatten()) {
     msg.entries.push_back({entry.kind, entry.name, entry.value});
   }
-  const dist::StatsReplyMsg decoded =
-      dist::decode_stats_reply(dist::encode_stats_reply(msg));
+  const wire::StatsReplyMsg decoded =
+      wire::decode_stats_reply(wire::encode_stats_reply(msg));
   ASSERT_EQ(decoded.entries.size(), msg.entries.size());
   for (std::size_t i = 0; i < msg.entries.size(); ++i) {
     EXPECT_EQ(decoded.entries[i].kind, msg.entries[i].kind);

@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "exp/emitters.hpp"
 #include "replay/dispatch.hpp"
 #include "replay/estimators.hpp"
@@ -34,6 +33,7 @@
 #include "serve/event_log.hpp"
 #include "sim/experiment.hpp"
 #include "util/rng.hpp"
+#include "wire/frame.hpp"
 
 namespace ncb {
 namespace {
@@ -388,7 +388,7 @@ TEST(ReplayEmitters, PanelDocumentShapeAndDeterminism) {
 // records in all.
 std::string hand_written_replay_init(std::uint32_t chunks,
                                      std::uint64_t total_records) {
-  dist::WireWriter init;
+  wire::WireWriter init;
   init.put_double(0.1);                   // epsilon
   init.put_u64(7);                        // seed
   init.put_u64(0);                        // horizon
@@ -405,13 +405,13 @@ std::string hand_written_replay_init(std::uint32_t chunks,
 }
 
 struct WorkerOutcome {
-  std::optional<dist::Frame> reply;
+  std::optional<wire::Frame> reply;
   int exit_code = -1;
 };
 
 // Plays the coordinator against an in-process replay worker: admits it,
 // sends `frames`, and returns the worker's first reply and its exit code.
-WorkerOutcome run_fake_coordinator(const std::vector<dist::Frame>& frames) {
+WorkerOutcome run_fake_coordinator(const std::vector<wire::Frame>& frames) {
   int sv[2];
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   WorkerOutcome outcome;
@@ -422,17 +422,17 @@ WorkerOutcome run_fake_coordinator(const std::vector<dist::Frame>& frames) {
     ::close(sv[1]);
   });
 
-  const auto hello = dist::read_frame(sv[0]);
-  const auto info = dist::read_frame(sv[0]);
-  EXPECT_TRUE(hello && hello->type == dist::MsgType::kHello);
-  EXPECT_TRUE(info && info->type == dist::MsgType::kWorkerInfo);
-  dist::write_frame(sv[0], dist::MsgType::kHelloAck,
-                    dist::encode_hello_ack());
-  for (const dist::Frame& frame : frames) {
-    dist::write_frame(sv[0], frame.type, frame.payload);
+  const auto hello = wire::read_frame(sv[0]);
+  const auto info = wire::read_frame(sv[0]);
+  EXPECT_TRUE(hello && hello->type == wire::MsgType::kHello);
+  EXPECT_TRUE(info && info->type == wire::MsgType::kWorkerInfo);
+  wire::write_frame(sv[0], wire::MsgType::kHelloAck,
+                    wire::encode_hello_ack());
+  for (const wire::Frame& frame : frames) {
+    wire::write_frame(sv[0], frame.type, frame.payload);
   }
 
-  outcome.reply = dist::read_frame(sv[0]);
+  outcome.reply = wire::read_frame(sv[0]);
   ::close(sv[0]);
   worker.join();
   return outcome;
@@ -441,14 +441,14 @@ WorkerOutcome run_fake_coordinator(const std::vector<dist::Frame>& frames) {
 std::string worker_error_message(const WorkerOutcome& outcome) {
   EXPECT_TRUE(outcome.reply.has_value());
   if (!outcome.reply) return "";
-  EXPECT_EQ(outcome.reply->type, dist::MsgType::kWorkerError);
-  return dist::decode_worker_error(outcome.reply->payload).message;
+  EXPECT_EQ(outcome.reply->type, wire::MsgType::kWorkerError);
+  return wire::decode_worker_error(outcome.reply->payload).message;
 }
 
 TEST(ReplayWorker, RejectsAnAnnouncedStreamItsChunksCannotCarry) {
   // 2^40 records announced in a single chunk.
   const WorkerOutcome outcome = run_fake_coordinator(
-      {{dist::MsgType::kReplayInit,
+      {{wire::MsgType::kReplayInit,
         hand_written_replay_init(1, std::uint64_t{1} << 40)}});
   const std::string message = worker_error_message(outcome);
   EXPECT_NE(message.find("cannot fit"), std::string::npos) << message;
@@ -466,15 +466,15 @@ TEST(ReplayWorker, RejectsAChunkWhoseLastRecordIsCutShort) {
   serve::append_event_record(
       records, {serve::EventType::kFeedback, 1, "", kNoArm, 0.0, 1.0});
   records.pop_back();
-  dist::WireWriter chunk;
+  wire::WireWriter chunk;
   chunk.put_u32(0);  // chunk index
   chunk.put_u32(2);  // records
   const std::string events = chunk.take() + records;
 
   const WorkerOutcome outcome =
-      run_fake_coordinator({{dist::MsgType::kReplayInit,
+      run_fake_coordinator({{wire::MsgType::kReplayInit,
                              hand_written_replay_init(1, 2)},
-                            {dist::MsgType::kReplayEvents, events}});
+                            {wire::MsgType::kReplayEvents, events}});
   const std::string message = worker_error_message(outcome);
   EXPECT_NE(message.find("torn"), std::string::npos) << message;
   EXPECT_EQ(outcome.exit_code, 1);

@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "serve/decision_engine.hpp"
@@ -34,13 +33,14 @@
 #include "serve/key_counters.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
+#include "wire/serve_messages.hpp"
 
 namespace fs = std::filesystem;
 
 namespace ncb::serve {
 namespace {
 
-using dist::MsgType;
+using wire::MsgType;
 
 struct TempDir {
   fs::path path;
@@ -88,31 +88,31 @@ std::string read_bytes(const std::string& path) {
 // ------------------------------------------------------------- codecs ---
 
 TEST(ServeCodec, DecideRequestRoundTrips) {
-  dist::DecideRequestMsg msg;
+  wire::DecideRequestMsg msg;
   msg.request_id = 0xfeedfacecafef00dULL;
   msg.slot = 42;
   msg.user_key = "user-key with spaces \x01";
-  const dist::DecideRequestMsg back =
-      dist::decode_decide_request(dist::encode_decide_request(msg));
+  const wire::DecideRequestMsg back =
+      wire::decode_decide_request(wire::encode_decide_request(msg));
   EXPECT_EQ(back.request_id, msg.request_id);
   EXPECT_EQ(back.slot, msg.slot);
   EXPECT_EQ(back.user_key, msg.user_key);
 
-  dist::DecideRequestMsg empty_key;
-  EXPECT_EQ(dist::decode_decide_request(dist::encode_decide_request(empty_key))
+  wire::DecideRequestMsg empty_key;
+  EXPECT_EQ(wire::decode_decide_request(wire::encode_decide_request(empty_key))
                 .user_key,
             "");
 }
 
 TEST(ServeCodec, DecideReplyRoundTripsExactDouble) {
-  dist::DecideReplyMsg msg;
+  wire::DecideReplyMsg msg;
   msg.request_id = 7;
   msg.slot = 9;
   msg.decision_id = 1234567;
   msg.action = 4095;
   msg.propensity = 0.1 + 0.2;  // a value with an inexact decimal expansion
-  const dist::DecideReplyMsg back =
-      dist::decode_decide_reply(dist::encode_decide_reply(msg));
+  const wire::DecideReplyMsg back =
+      wire::decode_decide_reply(wire::encode_decide_reply(msg));
   EXPECT_EQ(back.request_id, msg.request_id);
   EXPECT_EQ(back.slot, msg.slot);
   EXPECT_EQ(back.decision_id, msg.decision_id);
@@ -121,54 +121,54 @@ TEST(ServeCodec, DecideReplyRoundTripsExactDouble) {
 }
 
 TEST(ServeCodec, FeedbackRoundTrips) {
-  dist::FeedbackMsg msg;
+  wire::FeedbackMsg msg;
   msg.decision_id = 99;
   msg.reward = -1.5;
-  const dist::FeedbackMsg back =
-      dist::decode_feedback(dist::encode_feedback(msg));
+  const wire::FeedbackMsg back =
+      wire::decode_feedback(wire::encode_feedback(msg));
   EXPECT_EQ(back.decision_id, msg.decision_id);
   EXPECT_EQ(back.reward, msg.reward);
 }
 
 TEST(ServeCodec, TruncatedAndOversizedPayloadsThrow) {
-  dist::DecideRequestMsg msg;
+  wire::DecideRequestMsg msg;
   msg.user_key = "k";
-  std::string bytes = dist::encode_decide_request(msg);
+  std::string bytes = wire::encode_decide_request(msg);
   bytes.pop_back();
-  EXPECT_THROW((void)dist::decode_decide_request(bytes),
+  EXPECT_THROW((void)wire::decode_decide_request(bytes),
                std::invalid_argument);
-  bytes = dist::encode_decide_reply({});
+  bytes = wire::encode_decide_reply({});
   bytes.push_back('\0');  // trailing byte: finish() must reject
-  EXPECT_THROW((void)dist::decode_decide_reply(bytes), std::invalid_argument);
+  EXPECT_THROW((void)wire::decode_decide_reply(bytes), std::invalid_argument);
 }
 
 TEST(ServeProtocol, FrameTypeNames) {
-  EXPECT_STREQ(dist::frame_type_name(MsgType::kHello), "Hello");
-  EXPECT_STREQ(dist::frame_type_name(MsgType::kDecideRequest),
+  EXPECT_STREQ(wire::frame_type_name(MsgType::kHello), "Hello");
+  EXPECT_STREQ(wire::frame_type_name(MsgType::kDecideRequest),
                "DecideRequest");
-  EXPECT_STREQ(dist::frame_type_name(MsgType::kDecideReply), "DecideReply");
-  EXPECT_STREQ(dist::frame_type_name(MsgType::kFeedback), "Feedback");
-  EXPECT_STREQ(dist::frame_type_name(static_cast<MsgType>(42)), "unknown");
-  EXPECT_EQ(dist::frame_type_label(8), "DecideReply (8)");
-  EXPECT_EQ(dist::frame_type_label(42), "unknown (42)");
+  EXPECT_STREQ(wire::frame_type_name(MsgType::kDecideReply), "DecideReply");
+  EXPECT_STREQ(wire::frame_type_name(MsgType::kFeedback), "Feedback");
+  EXPECT_STREQ(wire::frame_type_name(static_cast<MsgType>(42)), "unknown");
+  EXPECT_EQ(wire::frame_type_label(8), "DecideReply (8)");
+  EXPECT_EQ(wire::frame_type_label(42), "unknown (42)");
 }
 
 TEST(ServeProtocol, ValidateHelloChecksServeSchema) {
-  dist::HelloMsg hello;
-  hello.schema = dist::kServeWireSchema;
-  EXPECT_FALSE(dist::validate_hello(hello, dist::kServeWireSchema));
+  wire::HelloMsg hello;
+  hello.schema = wire::kServeWireSchema;
+  EXPECT_FALSE(wire::validate_hello(hello, wire::kServeWireSchema));
 
-  dist::HelloMsg wrong_schema = hello;
-  wrong_schema.schema = dist::kServeWireSchema + 7;
-  EXPECT_TRUE(dist::validate_hello(wrong_schema, dist::kServeWireSchema));
+  wire::HelloMsg wrong_schema = hello;
+  wrong_schema.schema = wire::kServeWireSchema + 7;
+  EXPECT_TRUE(wire::validate_hello(wrong_schema, wire::kServeWireSchema));
 
-  dist::HelloMsg wrong_magic = hello;
+  wire::HelloMsg wrong_magic = hello;
   wrong_magic.magic = 0x12345678;
-  EXPECT_TRUE(dist::validate_hello(wrong_magic, dist::kServeWireSchema));
+  EXPECT_TRUE(wire::validate_hello(wrong_magic, wire::kServeWireSchema));
 
-  dist::HelloMsg wrong_version = hello;
-  wrong_version.protocol_version = dist::kProtocolVersion + 1;
-  EXPECT_TRUE(dist::validate_hello(wrong_version, dist::kServeWireSchema));
+  wire::HelloMsg wrong_version = hello;
+  wrong_version.protocol_version = wire::kProtocolVersion + 1;
+  EXPECT_TRUE(wire::validate_hello(wrong_version, wire::kServeWireSchema));
 }
 
 // ------------------------------------------------------------- engine ---
@@ -429,13 +429,13 @@ int handshake_client(const std::string& socket_path) {
   const int fd = connect_retry(socket_path);
   EXPECT_GE(fd, 0) << "server never started listening";
   if (fd < 0) return -1;
-  dist::HelloMsg hello;
-  hello.schema = dist::kServeWireSchema;
-  dist::write_frame(fd, MsgType::kHello, dist::encode_hello(hello));
-  const auto ack = dist::read_frame(fd);
+  wire::HelloMsg hello;
+  hello.schema = wire::kServeWireSchema;
+  wire::write_frame(fd, MsgType::kHello, wire::encode_hello(hello));
+  const auto ack = wire::read_frame(fd);
   EXPECT_TRUE(ack.has_value());
   EXPECT_EQ(ack->type, MsgType::kHelloAck);
-  dist::decode_hello_ack(ack->payload);
+  wire::decode_hello_ack(ack->payload);
   return fd;
 }
 
@@ -446,17 +446,17 @@ struct ServedDecision {
 };
 
 /// One StatsRequest/StatsReply exchange on an already-handshaken fd.
-dist::StatsReplyMsg poll_stats_once(int fd) {
-  dist::write_frame(fd, MsgType::kStatsRequest, "");
-  const auto frame = dist::read_frame(fd);
+wire::StatsReplyMsg poll_stats_once(int fd) {
+  wire::write_frame(fd, MsgType::kStatsRequest, "");
+  const auto frame = wire::read_frame(fd);
   EXPECT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, MsgType::kStatsReply);
-  return dist::decode_stats_reply(frame->payload);
+  return wire::decode_stats_reply(frame->payload);
 }
 
 /// Value of the named entry in a StatsReply; -1 when absent. Unused in
 /// the NCB_NO_METRICS configuration (its tests compile out).
-[[maybe_unused]] std::int64_t stat_value(const dist::StatsReplyMsg& reply,
+[[maybe_unused]] std::int64_t stat_value(const wire::StatsReplyMsg& reply,
                                          const std::string& name) {
   for (const obs::StatEntry& entry : reply.entries) {
     if (entry.name == name) return static_cast<std::int64_t>(entry.value);
@@ -468,7 +468,7 @@ struct ScenarioResult {
   std::vector<ServedDecision> decisions;
   std::string log_bytes;
   ServerStats stats;
-  dist::StatsReplyMsg final_stats;  ///< Only filled when polling.
+  wire::StatsReplyMsg final_stats;  ///< Only filled when polling.
   std::uint64_t background_polls = 0;
 };
 
@@ -515,8 +515,8 @@ ScenarioResult run_scenario(int connections, int n,
         const int fd = handshake_client(socket_path);
         if (fd < 0) return;
         while (!poller_stop.load()) {
-          dist::write_frame(fd, MsgType::kStatsRequest, "");
-          const auto frame = dist::read_frame(fd);
+          wire::write_frame(fd, MsgType::kStatsRequest, "");
+          const auto frame = wire::read_frame(fd);
           if (!frame || frame->type != MsgType::kStatsReply) break;
           ++result.background_polls;
           poller_answered.store(true);
@@ -545,36 +545,36 @@ ScenarioResult run_scenario(int connections, int n,
       std::string pending_feedback;
       for (int i = 0; i < n; ++i) {
         const int fd = fds[static_cast<std::size_t>(i % connections)];
-        dist::DecideRequestMsg request;
+        wire::DecideRequestMsg request;
         request.request_id = static_cast<std::uint64_t>(i);
         request.slot = static_cast<std::uint64_t>(i);
         request.user_key = "user-" + std::to_string(i % 5);
         std::string out = std::move(pending_feedback);
         pending_feedback.clear();
-        dist::append_frame(out, MsgType::kDecideRequest,
-                           dist::encode_decide_request(request));
+        wire::append_frame(out, MsgType::kDecideRequest,
+                           wire::encode_decide_request(request));
         if (send_all(fd, out) < 0) {
           throw std::runtime_error("send failed at request " +
                                    std::to_string(i));
         }
 
-        const auto frame = dist::read_frame(fd);
+        const auto frame = wire::read_frame(fd);
         if (!frame || frame->type != MsgType::kDecideReply) {
           throw std::runtime_error("no DecideReply for request " +
                                    std::to_string(i));
         }
-        const dist::DecideReplyMsg reply =
-            dist::decode_decide_reply(frame->payload);
+        const wire::DecideReplyMsg reply =
+            wire::decode_decide_reply(frame->payload);
         EXPECT_EQ(reply.request_id, request.request_id) << i;
         EXPECT_EQ(reply.slot, request.slot) << i;
         result.decisions.push_back(
             {reply.decision_id, reply.action, reply.propensity});
 
-        dist::FeedbackMsg feedback;
+        wire::FeedbackMsg feedback;
         feedback.decision_id = reply.decision_id;
         feedback.reward = static_cast<double>((i * 7) % 11) / 10.0;
-        dist::append_frame(pending_feedback, MsgType::kFeedback,
-                           dist::encode_feedback(feedback));
+        wire::append_frame(pending_feedback, MsgType::kFeedback,
+                           wire::encode_feedback(feedback));
       }
       if (!pending_feedback.empty() &&
           send_all(fds.back(), pending_feedback) < 0) {
@@ -679,29 +679,29 @@ TEST(ServeServer, RejectsBadHandshakeAndUnexpectedFrames) {
   {  // Wrong schema word in the Hello: dropped before any ack.
     const int fd = connect_retry(socket_path);
     ASSERT_GE(fd, 0);
-    dist::HelloMsg hello;
-    hello.schema = dist::kServeWireSchema + 9;
-    dist::write_frame(fd, MsgType::kHello, dist::encode_hello(hello));
-    EXPECT_FALSE(dist::read_frame(fd).has_value());  // clean EOF, no ack
+    wire::HelloMsg hello;
+    hello.schema = wire::kServeWireSchema + 9;
+    wire::write_frame(fd, MsgType::kHello, wire::encode_hello(hello));
+    EXPECT_FALSE(wire::read_frame(fd).has_value());  // clean EOF, no ack
     ::close(fd);
   }
   {  // Valid handshake, then a sweep frame type the serve reactor never
      // accepts: the connection is dropped, the error counted by name.
     const int fd = handshake_client(socket_path);
     ASSERT_GE(fd, 0);
-    dist::write_frame(fd, MsgType::kShutdown, "");
-    EXPECT_FALSE(dist::read_frame(fd).has_value());
+    wire::write_frame(fd, MsgType::kShutdown, "");
+    EXPECT_FALSE(wire::read_frame(fd).has_value());
     ::close(fd);
   }
   {  // A healthy client is undisturbed by the two drops above.
     const int fd = handshake_client(socket_path);
     ASSERT_GE(fd, 0);
-    dist::DecideRequestMsg request;
+    wire::DecideRequestMsg request;
     request.request_id = 1;
     request.user_key = "ok";
-    dist::write_frame(fd, MsgType::kDecideRequest,
-                      dist::encode_decide_request(request));
-    const auto frame = dist::read_frame(fd);
+    wire::write_frame(fd, MsgType::kDecideRequest,
+                      wire::encode_decide_request(request));
+    const auto frame = wire::read_frame(fd);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->type, MsgType::kDecideReply);
     ::close(fd);
@@ -728,7 +728,7 @@ TEST(ServeServer, StatsPollingObservesExactCountersWithoutPerturbing) {
       << "actual hash 0x" << std::hex << fnv1a(polled.log_bytes);
   EXPECT_GT(polled.background_polls, 0u);
 
-  const dist::StatsReplyMsg& live = polled.final_stats;
+  const wire::StatsReplyMsg& live = polled.final_stats;
   EXPECT_EQ(stat_value(live, "serve.decide.requests"), kRequests);
   EXPECT_EQ(stat_value(live, "serve.feedback.frames"), kRequests);
   EXPECT_EQ(stat_value(live, "serve.engine.decisions"), kRequests);
@@ -765,37 +765,37 @@ TEST(ServeServer, StatsRequestReportsProtocolAndDuplicateErrors) {
   {  // Sweep-only frame type: dropped, counted by name.
     const int fd = handshake_client(socket_path);
     ASSERT_GE(fd, 0);
-    dist::write_frame(fd, MsgType::kShutdown, "");
-    EXPECT_FALSE(dist::read_frame(fd).has_value());
+    wire::write_frame(fd, MsgType::kShutdown, "");
+    EXPECT_FALSE(wire::read_frame(fd).has_value());
     ::close(fd);
   }
   {  // A StatsRequest must carry an empty payload.
     const int fd = handshake_client(socket_path);
     ASSERT_GE(fd, 0);
-    dist::write_frame(fd, MsgType::kStatsRequest, "boom");
-    EXPECT_FALSE(dist::read_frame(fd).has_value());
+    wire::write_frame(fd, MsgType::kStatsRequest, "boom");
+    EXPECT_FALSE(wire::read_frame(fd).has_value());
     ::close(fd);
   }
 
   const int fd = handshake_client(socket_path);
   ASSERT_GE(fd, 0);
-  dist::DecideRequestMsg request;
+  wire::DecideRequestMsg request;
   request.request_id = 1;
   request.user_key = "dup";
-  dist::write_frame(fd, MsgType::kDecideRequest,
-                    dist::encode_decide_request(request));
-  const auto frame = dist::read_frame(fd);
+  wire::write_frame(fd, MsgType::kDecideRequest,
+                    wire::encode_decide_request(request));
+  const auto frame = wire::read_frame(fd);
   ASSERT_TRUE(frame.has_value());
   ASSERT_EQ(frame->type, MsgType::kDecideReply);
-  const dist::DecideReplyMsg reply =
-      dist::decode_decide_reply(frame->payload);
+  const wire::DecideReplyMsg reply =
+      wire::decode_decide_reply(frame->payload);
 
   // Same decision acknowledged twice: first lands, second is a duplicate.
-  dist::FeedbackMsg feedback;
+  wire::FeedbackMsg feedback;
   feedback.decision_id = reply.decision_id;
   feedback.reward = 0.5;
-  dist::write_frame(fd, MsgType::kFeedback, dist::encode_feedback(feedback));
-  dist::write_frame(fd, MsgType::kFeedback, dist::encode_feedback(feedback));
+  wire::write_frame(fd, MsgType::kFeedback, wire::encode_feedback(feedback));
+  wire::write_frame(fd, MsgType::kFeedback, wire::encode_feedback(feedback));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (engine.duplicate_feedbacks() < 1 &&
@@ -803,7 +803,7 @@ TEST(ServeServer, StatsRequestReportsProtocolAndDuplicateErrors) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  const dist::StatsReplyMsg live = poll_stats_once(fd);
+  const wire::StatsReplyMsg live = poll_stats_once(fd);
   EXPECT_EQ(stat_value(live, "serve.protocol.errors"), 2);
   EXPECT_EQ(stat_value(live, "serve.engine.duplicate_feedbacks"), 1);
   EXPECT_EQ(stat_value(live, "serve.engine.unknown_feedbacks"), 0);
