@@ -227,6 +227,8 @@ serve_smoke() {
   grep -q 'records=20000 decisions=10000 feedbacks=10000 joined=10000' \
       build/serve_smoke.inspect
   grep -q '"duplicate_feedbacks": 0' build/serve_smoke.inspect
+  grep -q '"orphan_feedbacks": 0' build/serve_smoke.inspect
+  grep -q '"unjoined_decisions": 0' build/serve_smoke.inspect
   echo "serve smoke: 10k decisions / 2 connections, 10000/10000 joined, live stats polled, clean SIGTERM drain"
 }
 
@@ -525,6 +527,9 @@ bench_serve() {
       | tee build/bench_serve.inspect
   grep -q 'records=400000 decisions=200000 feedbacks=200000 joined=200000' \
       build/bench_serve.inspect
+  grep -q '"duplicate_feedbacks": 0' build/bench_serve.inspect
+  grep -q '"orphan_feedbacks": 0' build/bench_serve.inspect
+  grep -q '"unjoined_decisions": 0' build/bench_serve.inspect
   if git show HEAD:BENCH_serve.json > build/bench_serve_baseline.json \
       2>/dev/null; then
     :

@@ -124,15 +124,15 @@ void install_stop_handlers() {
 // pipe through this, so a torn log can never satisfy them silently.
 int inspect_log(const std::string& path) {
   const serve::EventLogScan scan = serve::read_event_log(path);
+  const serve::EventLogJoin join = serve::join_event_log(scan);
   std::cout << "event log " << path << ": version=" << scan.version
             << " records=" << scan.records.size()
             << " decisions=" << scan.decisions
-            << " feedbacks=" << scan.feedbacks << " joined=" << scan.joined
+            << " feedbacks=" << scan.feedbacks << " joined=" << join.joined
             << " valid_bytes=" << scan.valid_bytes << '\n';
   // Join-health block: the same numbers in one machine-readable JSON
   // object, plus what the prose line cannot say — how many feedbacks were
   // orphans or duplicates and how many decisions never got a reward.
-  const serve::EventLogJoin join = serve::join_event_log(scan);
   const double min_propensity =
       join.decisions > 0 ? join.min_propensity : 0.0;
   std::cout << "{\n"

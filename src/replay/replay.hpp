@@ -8,23 +8,26 @@
 //
 //   pass 1  join decisions to rewards (serve::join_event_log), fit the
 //           per-arm empirical-mean reward model (the DR baseline), and
-//           accumulate the logging policy's own empirical reward stats;
+//           take the logging policy's own empirical reward stats from the
+//           join;
 //   pass 2  drive each candidate through the stream independently (the
 //           candidates never interact, which is also what lets a
 //           distributed panel assign candidates to workers). Each
-//           candidate is a registry-built policy wrapped in the exact
-//           decide()/report() semantics of serve::DecisionEngine — the
-//           same policy clock, the same per-key counter-based exploration
-//           streams (seed ^ fnv1a_key(key)), the same observe() call at
-//           feedback time — so its state evolves as it would have online
-//           and a replay is bit-identical across runs and machines.
+//           candidate runs on its own serve::Explorer, the decide-and-price
+//           core DecisionEngine serves through — the same policy clock,
+//           per-key exploration streams and observe() at feedback time —
+//           so its state evolves as it would have online and a replay is
+//           bit-identical across runs and machines. Feedback joins its
+//           decision by join_event_log's rule, so the join, the DR model
+//           and every candidate count the same events.
 //
 // Each joined event scores the candidate through IPS / SNIPS / DR
 // (replay/estimators.hpp) using the candidate's action *distribution*
-// q(a | key) = eps/K + (1-eps)*1[a = greedy], the same expression the
-// engine logs as propensity. Replaying the logging policy spec at matched
-// seed/epsilon therefore reproduces q == p bitwise and the IPS estimate
-// equals the log's empirical mean reward exactly — the identity CI pins.
+// q(a | key) = Explorer::propensity(a, greedy), the expression the engine
+// logs as propensity (DR's direct term is Explorer::expected under it).
+// Replaying the logging policy spec at matched seed/epsilon therefore
+// reproduces q == p bitwise and the IPS estimate equals the log's empirical
+// mean reward exactly — the identity CI pins.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +137,11 @@ struct PanelResult {
 /// `model_arm_average` are pass-1 outputs (PanelResult::arm_model /
 /// model_arm_average). The arithmetic is operation-for-operation the one
 /// the lockstep panel performs for that candidate, so the result is
-/// bitwise identical wherever it runs.
+/// bitwise identical wherever it runs. A sharded worker receives every
+/// input off the wire, so this checks them itself: throws
+/// std::invalid_argument on an empty graph, epsilon outside [0, 1], a bad
+/// spec, an arm model not sized to the graph, a logged action outside the
+/// graph's arms, or a non-positive logged propensity.
 [[nodiscard]] CandidateSummary score_candidate(
     const Graph& graph, const std::vector<serve::EventRecord>& records,
     const std::string& spec, const ReplayOptions& options,

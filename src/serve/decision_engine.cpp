@@ -26,12 +26,48 @@ obs::MetricsRegistry& engine_registry(const EngineOptions& options) {
 
 }  // namespace
 
+Explorer::Explorer(const Graph& graph, const std::string& policy_spec,
+                   double epsilon, std::uint64_t seed, TimeSlot horizon)
+    : num_arms_(graph.num_vertices()), epsilon_(epsilon), seed_(seed) {
+  if (num_arms_ == 0) {
+    throw std::invalid_argument("explorer: empty graph");
+  }
+  if (!(epsilon_ >= 0.0 && epsilon_ <= 1.0)) {
+    throw std::invalid_argument("explorer: epsilon must be in [0, 1]");
+  }
+  policy_ = PolicyRegistry::instance().make_single_play(policy_spec, horizon,
+                                                        seed_);
+  policy_->reset(graph);
+  description_ = policy_->describe();
+}
+
+Explorer::Step Explorer::decide(std::uint64_t key_hash) {
+  Step step;
+  step.slot = ++t_;
+  step.greedy = policy_->select(step.slot);
+  // The exploration draw comes from the key's own counter-based stream, so
+  // it is independent of which connection carried the request.
+  const std::uint64_t key_index = per_key_count_.next(key_hash);
+  step.action = step.greedy;
+  if (epsilon_ > 0.0) {
+    Xoshiro256 rng(derive_seed_at(seed_ ^ key_hash, key_index));
+    if (rng.uniform() < epsilon_) {
+      step.action = static_cast<ArmId>(rng.uniform_int(num_arms_));
+    }
+  }
+  return step;
+}
+
+void Explorer::observe(ArmId arm, double reward) {
+  policy_->observe(arm, t_, {{arm, reward}});
+}
+
 DecisionEngine::DecisionEngine(Graph graph, const EngineOptions& options,
                                EventLog* log)
     : graph_(std::move(graph)),
-      epsilon_(options.epsilon),
-      seed_(options.seed),
       log_(log),
+      explorer_(graph_, options.policy_spec, options.epsilon, options.seed,
+                options.horizon),
       m_decisions_(engine_registry(options).counter("serve.engine.decisions")),
       m_feedbacks_(engine_registry(options).counter("serve.engine.feedbacks")),
       m_unknown_(
@@ -39,50 +75,23 @@ DecisionEngine::DecisionEngine(Graph graph, const EngineOptions& options,
       m_duplicates_(engine_registry(options).counter(
           "serve.engine.duplicate_feedbacks")),
       m_nonfinite_(engine_registry(options).counter(
-          "serve.engine.nonfinite_rewards")) {
-  if (graph_.num_vertices() == 0) {
-    throw std::invalid_argument("decision engine: empty graph");
-  }
-  if (!(epsilon_ >= 0.0 && epsilon_ <= 1.0)) {
-    throw std::invalid_argument("decision engine: epsilon must be in [0, 1]");
-  }
-  policy_ = PolicyRegistry::instance().make_single_play(
-      options.policy_spec, options.horizon, seed_);
-  policy_->reset(graph_);
-  policy_description_ = policy_->describe();
-}
+          "serve.engine.nonfinite_rewards")) {}
 
 Decision DecisionEngine::decide(const std::string& user_key,
                                 std::uint64_t slot) {
   const std::uint64_t key_hash = fnv1a_key(user_key);
   std::lock_guard<std::mutex> lock(mutex_);
-  const TimeSlot t = ++t_;  // global decision order drives the policy clock
-  const ArmId greedy = policy_->select(t);
-
-  // The exploration draw comes from the key's own counter-based stream, so
-  // it is independent of which connection carried the request.
-  const std::uint64_t key_index = per_key_count_.next(key_hash);
-  const std::size_t num_arms = graph_.num_vertices();
-  ArmId action = greedy;
-  if (epsilon_ > 0.0) {
-    Xoshiro256 rng(derive_seed_at(seed_ ^ key_hash, key_index));
-    if (rng.uniform() < epsilon_) {
-      action = static_cast<ArmId>(rng.uniform_int(num_arms));
-    }
-  }
-  // Epsilon-greedy logging propensity: every arm gets eps/K from the
-  // uniform branch; the greedy arm additionally gets the (1-eps) mass.
-  double propensity = epsilon_ / static_cast<double>(num_arms);
-  if (action == greedy) propensity += 1.0 - epsilon_;
+  const Explorer::Step step = explorer_.decide(key_hash);
 
   Decision decision;
-  decision.decision_id = static_cast<std::uint64_t>(t);
+  decision.decision_id = static_cast<std::uint64_t>(step.slot);
   decision.slot = slot;
-  decision.action = action;
-  decision.propensity = propensity;
-  pending_.emplace(decision.decision_id, action);
+  decision.action = step.action;
+  decision.propensity = explorer_.propensity(step.action, step.greedy);
+  pending_.emplace(decision.decision_id, decision.action);
   if (log_ != nullptr) {
-    log_->append_decision(decision.decision_id, user_key, action, propensity);
+    log_->append_decision(decision.decision_id, user_key, decision.action,
+                          decision.propensity);
   }
   m_decisions_.inc();
   return decision;
@@ -100,8 +109,9 @@ bool DecisionEngine::report(std::uint64_t decision_id, double reward) {
   const auto it = pending_.find(decision_id);
   if (it == pending_.end()) {
     // Issued-but-not-pending means the reward already arrived: a duplicate.
-    // An id outside [1, t_] was never issued at all.
-    if (decision_id >= 1 && decision_id <= static_cast<std::uint64_t>(t_)) {
+    // An id outside [1, clock] was never issued at all.
+    if (decision_id >= 1 &&
+        decision_id <= static_cast<std::uint64_t>(explorer_.clock())) {
       ++duplicate_feedbacks_;
       m_duplicates_.inc();
     } else {
@@ -110,11 +120,7 @@ bool DecisionEngine::report(std::uint64_t decision_id, double reward) {
     }
     return false;
   }
-  const ArmId played = it->second;
-  // Bandit feedback only: the service observes the reward of the served
-  // action, never side observations — the relation graph still shapes the
-  // policy's index, just without N_i sharing.
-  policy_->observe(played, t_, {{played, reward}});
+  explorer_.observe(it->second, reward);
   pending_.erase(it);
   ++feedbacks_;
   m_feedbacks_.inc();
@@ -127,13 +133,14 @@ std::size_t DecisionEngine::num_arms() const noexcept {
 }
 
 std::string DecisionEngine::describe() const {
-  return policy_description_ + ", eps=" + std::to_string(epsilon_) + ", K=" +
+  return explorer_.description() + ", eps=" +
+         std::to_string(explorer_.epsilon()) + ", K=" +
          std::to_string(graph_.num_vertices());
 }
 
 std::uint64_t DecisionEngine::decisions() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<std::uint64_t>(t_);
+  return static_cast<std::uint64_t>(explorer_.clock());
 }
 
 std::uint64_t DecisionEngine::feedbacks() const {

@@ -17,6 +17,10 @@
 // drives the policy's learned state), not on which connection carried a
 // request or how many clients are attached. Replaying the same request
 // stream in the same order is bit-identical, however it is multiplexed.
+// Explorer below is that contract's one implementation: the engine serves
+// through one, and offline replay (replay/replay.hpp) drives one per
+// candidate, so a replayed candidate draws and prices each decision
+// exactly as it would have online.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +28,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "graph/graph.hpp"
@@ -35,9 +40,9 @@
 namespace ncb::serve {
 
 /// FNV-1a over a user key: stable across runs and platforms (unlike
-/// std::hash). Both the live engine and the offline replayer seed a key's
-/// exploration stream with derive_seed_at(seed ^ fnv1a_key(key), i), so the
-/// hash is part of the determinism contract.
+/// std::hash). Explorer::decide seeds a key's exploration stream with
+/// derive_seed_at(seed ^ fnv1a_key(key), i), so the hash is part of the
+/// determinism contract.
 [[nodiscard]] std::uint64_t fnv1a_key(const std::string& key) noexcept;
 
 struct EngineOptions {
@@ -58,6 +63,71 @@ struct EngineOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// The decide-and-price core: a registry-built policy, its clock, and the
+/// per-key exploration streams. Not thread-safe; DecisionEngine calls it
+/// under its lock.
+class Explorer {
+ public:
+  /// Builds `policy_spec` from the registry and resets it over `graph`,
+  /// which must outlive the explorer. Throws std::invalid_argument on an
+  /// empty graph, epsilon outside [0, 1], or an unknown policy spec.
+  Explorer(const Graph& graph, const std::string& policy_spec,
+           double epsilon, std::uint64_t seed, TimeSlot horizon);
+
+  struct Step {
+    TimeSlot slot = 0;      ///< The policy clock this decision ran at.
+    ArmId greedy = kNoArm;  ///< The policy's select at `slot`.
+    ArmId action = kNoArm;  ///< `greedy` after the key's exploration draw.
+  };
+
+  /// Advances the clock (the global decision order), runs select, and
+  /// applies the exploration draw from the key's next counter-based
+  /// stream: with probability epsilon the action is uniform over all arms.
+  Step decide(std::uint64_t key_hash);
+
+  /// Probability that a decision whose greedy arm is `greedy` serves
+  /// `action`: eps/K from the uniform branch, plus (1-eps) on the greedy
+  /// arm. The engine logs it; replay prices logged actions with it.
+  [[nodiscard]] double propensity(ArmId action, ArmId greedy) const noexcept {
+    double p = epsilon_ / static_cast<double>(num_arms_);
+    if (action == greedy) p += greedy_mass();
+    return p;
+  }
+  /// E_q[m] with q(a) = propensity(a, greedy), for per-arm values m whose
+  /// mean over all arms is m_average: replay's DR direct term.
+  [[nodiscard]] double expected(const std::vector<double>& m, double m_average,
+                                ArmId greedy) const noexcept {
+    const double greedy_m = m[static_cast<std::size_t>(greedy)];
+    return epsilon_ * m_average + greedy_mass() * greedy_m;
+  }
+
+  /// Feeds `arm`'s reward to the policy at the current clock. Bandit
+  /// feedback only: the served action's reward, never side observations —
+  /// the relation graph still shapes the policy's index, just without
+  /// N_i sharing.
+  void observe(ArmId arm, double reward);
+
+  /// Decisions drawn so far (the last slot issued).
+  [[nodiscard]] TimeSlot clock() const noexcept { return t_; }
+  [[nodiscard]] std::size_t num_arms() const noexcept { return num_arms_; }
+  [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
+  /// The built policy's describe().
+  [[nodiscard]] const std::string& description() const noexcept {
+    return description_;
+  }
+
+ private:
+  double greedy_mass() const noexcept { return 1.0 - epsilon_; }
+
+  std::size_t num_arms_;
+  double epsilon_;
+  std::uint64_t seed_;
+  std::unique_ptr<SinglePlayPolicy> policy_;
+  std::string description_;
+  TimeSlot t_ = 0;
+  KeyCounters per_key_count_;
+};
+
 /// One answered decision request.
 struct Decision {
   std::uint64_t decision_id = 0;  ///< Join key for report(); also the slot.
@@ -68,11 +138,11 @@ struct Decision {
 
 class DecisionEngine {
  public:
-  /// Builds the policy from the registry and resets it over `graph`.
-  /// `log` may be null (serving without an event log); when set, every
-  /// decide/report appends a record under the engine lock, so log order
-  /// equals decision order. Throws std::invalid_argument on an unknown
-  /// policy spec, an empty graph, or epsilon outside [0, 1].
+  /// Builds the engine's Explorer over `graph`. `log` may be null
+  /// (serving without an event log); when set, every decide/report
+  /// appends a record under the engine lock, so log order equals decision
+  /// order. Throws std::invalid_argument on an unknown policy spec, an
+  /// empty graph, or epsilon outside [0, 1].
   DecisionEngine(Graph graph, const EngineOptions& options,
                  EventLog* log = nullptr);
 
@@ -103,16 +173,11 @@ class DecisionEngine {
 
  private:
   Graph graph_;
-  std::unique_ptr<SinglePlayPolicy> policy_;
-  double epsilon_;
-  std::uint64_t seed_;
   EventLog* log_;
-  std::string policy_description_;
 
-  mutable std::mutex mutex_;
-  TimeSlot t_ = 0;  ///< Last issued slot == last decision_id.
+  mutable std::mutex mutex_;  // guards explorer_, pending_, plain counters
+  Explorer explorer_;  // after graph_, which its policy was reset over
   std::unordered_map<std::uint64_t, ArmId> pending_;
-  KeyCounters per_key_count_;
   std::uint64_t feedbacks_ = 0;
   std::uint64_t unknown_feedbacks_ = 0;
   std::uint64_t duplicate_feedbacks_ = 0;

@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -310,14 +309,11 @@ EventLogScan read_event_log(const std::string& path) {
   scan.valid_bytes = kHeaderBytes + scan_event_records(records, scan.records);
   scan.truncated_tail = scan.valid_bytes != data.size();
 
-  std::set<std::uint64_t> decision_ids;
   for (const EventRecord& record : scan.records) {
     if (record.type == EventType::kDecision) {
       ++scan.decisions;
-      decision_ids.insert(record.decision_id);
     } else {
       ++scan.feedbacks;
-      if (decision_ids.count(record.decision_id)) ++scan.joined;
     }
   }
   return scan;
@@ -342,7 +338,13 @@ EventLogJoin join_event_log(const EventLogScan& scan) {
       event.key = record.key;
       event.action = record.action;
       event.propensity = record.propensity;
-      by_id[record.decision_id] = join.events.size();
+      // The join rule: a repeated id re-points only once its decision
+      // has closed; while it is open, the first decision keeps it.
+      const auto [open, fresh] =
+          by_id.try_emplace(record.decision_id, join.events.size());
+      if (!fresh && join.events[open->second].has_reward) {
+        open->second = join.events.size();
+      }
       join.events.push_back(std::move(event));
       ++join.decisions;
       if (record.propensity < join.min_propensity) {
@@ -362,6 +364,7 @@ EventLogJoin join_event_log(const EventLogScan& scan) {
       event.reward = record.reward;
       event.has_reward = true;
       ++join.joined;
+      join.rewards.add(record.reward);
     }
   }
   return join;

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/running_stat.hpp"
 #include "util/types.hpp"
 
 namespace ncb::serve {
@@ -163,14 +164,13 @@ class EventLog {
   std::thread flusher_;
 };
 
-/// Result of scanning a log file.
+/// Result of scanning a log file: the records and their counts by type.
+/// Joining them is join_event_log's job, not the scan's.
 struct EventLogScan {
   std::uint32_t version = 0;
   std::vector<EventRecord> records;
   std::uint64_t decisions = 0;
   std::uint64_t feedbacks = 0;
-  /// Feedback records whose decision_id matched an earlier decision record.
-  std::uint64_t joined = 0;
   /// Byte length of the valid prefix (header + complete records).
   std::uint64_t valid_bytes = 0;
   /// True when the file ends in an incomplete header or record (the
@@ -201,7 +201,10 @@ struct JoinedEvent {
 struct EventLogJoin {
   std::vector<JoinedEvent> events;  ///< One entry per decision record.
   std::uint64_t decisions = 0;
+  /// Feedback records that closed an open decision: the one joined count.
   std::uint64_t joined = 0;
+  /// The joined rewards, accumulated in feedback (log) order.
+  RunningStat rewards;
   /// Feedback records whose decision_id matched no earlier decision.
   std::uint64_t orphan_feedbacks = 0;
   /// Feedback records for a decision that already had a reward.
@@ -211,7 +214,12 @@ struct EventLogJoin {
   double min_propensity = 0.0;
 };
 
-/// Joins a scan's feedback records to their decisions. Throws
+/// Joins a scan's feedback records to their decisions by the one join
+/// rule every reader of a log applies (replay's panel and candidates too):
+/// a decision opens its id unless that id is already open, and a feedback
+/// closes the open decision with its id. A decision repeating an open id
+/// therefore never joins; a feedback with no open decision is a duplicate
+/// when its id was decided before and an orphan otherwise. Throws
 /// std::invalid_argument when a decision record carries a non-positive
 /// propensity (such a log cannot support importance weighting).
 [[nodiscard]] EventLogJoin join_event_log(const EventLogScan& scan);

@@ -1,6 +1,6 @@
 // Per-key decision counters: how many decisions each user key has had, the
-// index of its next exploration draw (DecisionEngine and the replayer both
-// seed that draw with derive_seed_at(seed ^ key_hash, count)).
+// index of its next exploration draw (Explorer::decide seeds that draw with
+// derive_seed_at(seed ^ key_hash, count)).
 //
 // This table grows with the served key population. It is a linear-probing
 // table of 16-byte (FNV key hash, count) slots, split into 64 segments by

@@ -103,7 +103,7 @@ TEST(EventLog, RoundTripPreservesOrderAndFields) {
   ASSERT_EQ(scan.records.size(), 5u);
   EXPECT_EQ(scan.decisions, 3u);
   EXPECT_EQ(scan.feedbacks, 2u);
-  EXPECT_EQ(scan.joined, 1u);
+  EXPECT_EQ(join_event_log(scan).joined, 1u);
   EXPECT_FALSE(scan.truncated_tail);
   EXPECT_EQ(scan.valid_bytes, fs::file_size(path));
 

@@ -10,6 +10,9 @@
 //    that candidate at matched seeds (statistically, within its own SE);
 //  - replaying the same log twice is bit-identical, down to the rendered
 //    panel JSON bytes;
+//  - the join, the DR model and every candidate join a repeated open
+//    decision_id to its first decision, and score_candidate rejects the
+//    inputs a sharded worker takes off the wire when they cannot be priced;
 //  - a replay worker refuses an announced event stream its chunks could
 //    not carry instead of trying to reserve it, and refuses an event
 //    chunk whose last record is cut short.
@@ -17,12 +20,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/emitters.hpp"
@@ -73,6 +78,10 @@ struct ServeSetup {
   std::size_t horizon = 4000;
   std::size_t num_keys = 16;
   std::uint64_t reward_seed = 4242;
+  /// Share of decisions whose feedback is never reported.
+  double lost = 0.0;
+  /// Feedbacks held back before one is reported; 0 reports each at once.
+  std::size_t delay = 0;
 };
 
 Graph make_graph(const ServeSetup& setup) {
@@ -85,10 +94,13 @@ Graph make_graph(const ServeSetup& setup) {
 }
 
 /// Drives one policy online (the exact serve decide/report loop) and logs
-/// to `log_path` when non-empty. Returns the run's empirical mean reward.
-/// Rewards are Bernoulli(arm_mean(action)) drawn from a counter-based
-/// stream keyed by decision_id, so two runs at matched seeds face the same
-/// reward randomness per decision.
+/// to `log_path` when non-empty. Returns the empirical mean of the reported
+/// rewards. Rewards are Bernoulli(arm_mean(action)) drawn from a
+/// counter-based stream keyed by decision_id, so two runs at matched seeds
+/// face the same reward randomness per decision. `setup.lost` drops a share
+/// of the feedbacks; with `setup.delay` > 0 feedbacks wait until more than
+/// that many are held, and a random held one is reported each time — late
+/// and out of order.
 double drive_engine(const ServeSetup& setup, const std::string& policy_spec,
                     const std::string& log_path) {
   const Graph graph = make_graph(setup);
@@ -102,7 +114,17 @@ double drive_engine(const ServeSetup& setup, const std::string& policy_spec,
   options.epsilon = setup.epsilon;
   options.seed = setup.seed;
   serve::DecisionEngine engine(graph, options, log.get());
+  Xoshiro256 feedback_rng(setup.reward_seed + 1);
+  std::vector<std::pair<std::uint64_t, double>> held;
   double reward_sum = 0.0;
+  std::size_t reported = 0;
+  const auto report_one = [&] {
+    std::swap(held[feedback_rng.uniform_int(held.size())], held.back());
+    EXPECT_TRUE(engine.report(held.back().first, held.back().second));
+    reward_sum += held.back().second;
+    ++reported;
+    held.pop_back();
+  };
   for (std::size_t i = 0; i < setup.horizon; ++i) {
     const std::string key = "user" + std::to_string(i % setup.num_keys);
     const serve::Decision decision = engine.decide(key);
@@ -110,11 +132,13 @@ double drive_engine(const ServeSetup& setup, const std::string& policy_spec,
                                          decision.decision_id));
     const double reward =
         reward_rng.bernoulli(arm_mean(decision.action)) ? 1.0 : 0.0;
-    engine.report(decision.decision_id, reward);
-    reward_sum += reward;
+    if (setup.lost > 0.0 && feedback_rng.uniform() < setup.lost) continue;
+    held.emplace_back(decision.decision_id, reward);
+    while (held.size() > setup.delay) report_one();
   }
+  while (!held.empty()) report_one();
   if (log) log->close();
-  return reward_sum / static_cast<double>(setup.horizon);
+  return reward_sum / static_cast<double>(reported);
 }
 
 TEST(EventLogJoin, JoinsOrphansAndDuplicates) {
@@ -155,6 +179,119 @@ TEST(EventLogJoin, NonPositivePropensityThrows) {
   EXPECT_THROW((void)serve::join_event_log(scan), std::invalid_argument);
 }
 
+/// One join rule for every reader: a decision repeating an id that is
+/// still open never joins, so the first decision keeps the id. The join,
+/// the DR model and every candidate must credit arm 3's reward to arm 3,
+/// and the second feedback for id 1 is a duplicate nobody scores.
+TEST(ReplayPanel, RepeatedOpenDecisionIdJoinsTheFirstDecision) {
+  TempDir tmp;
+  const std::string path = tmp.file("repeat.ncbl");
+  // Uniform pricing (epsilon 1) at p = 1/K makes every weight exactly 1.
+  constexpr double kPropensity = 1.0 / 5.0;
+  {
+    serve::EventLog log({path, 64 * 1024, 50});
+    log.append_decision(2, "bob", 0, kPropensity);
+    log.append_feedback(2, 0.0);
+    log.append_decision(1, "alice", 3, kPropensity);
+    log.append_decision(1, "alice", 4, kPropensity);  // id 1 still open
+    log.append_feedback(1, 1.0);
+    log.append_feedback(1, 0.25);  // duplicate
+    log.close();
+  }
+  const serve::EventLogScan scan = serve::read_event_log(path);
+  const serve::EventLogJoin join = serve::join_event_log(scan);
+  EXPECT_EQ(join.joined, 2u);
+  EXPECT_EQ(join.duplicate_feedbacks, 1u);
+  EXPECT_EQ(join.orphan_feedbacks, 0u);
+  ASSERT_EQ(join.events.size(), 3u);
+  EXPECT_TRUE(join.events[1].has_reward);
+  EXPECT_EQ(join.events[1].action, 3);
+  EXPECT_EQ(join.events[1].reward, 1.0);
+  EXPECT_FALSE(join.events[2].has_reward);
+
+  ExperimentConfig config;
+  config.graph_family = GraphFamily::kComplete;
+  config.num_arms = 5;
+  replay::ReplayOptions options;
+  options.epsilon = 1.0;
+  const replay::PanelResult panel = replay::replay_panel(
+      build_graph(config), scan, {"eps-greedy:eps=0", "ucb1", "random"},
+      options);
+  EXPECT_EQ(panel.joined, 2u);
+  EXPECT_EQ(panel.duplicate_feedbacks, 1u);
+  EXPECT_EQ(panel.empirical_mean, 0.5);
+  ASSERT_EQ(panel.arm_model.size(), 5u);
+  EXPECT_EQ(panel.arm_model[3], 1.0);  // arm 3 earned the joined reward
+  EXPECT_EQ(panel.arm_model[4], 0.5);  // arm 4 has none: the global mean
+  for (const replay::CandidateSummary& candidate : panel.candidates) {
+    SCOPED_TRACE(candidate.spec);
+    EXPECT_EQ(candidate.decisions, 3u);
+    EXPECT_EQ(candidate.events, 2u);  // the duplicate is not scored
+    EXPECT_EQ(candidate.ips_mean, 0.5);
+    EXPECT_EQ(candidate.max_weight, 1.0);
+    // Each DR term is direct + (r - m(a)); r - m(a) is 0 for both events
+    // only when the candidate, too, reads id 1's reward as arm 3's.
+    EXPECT_EQ(candidate.dr_mean, panel.model_arm_average);
+  }
+}
+
+/// A sharded replay worker takes records, the arm model and epsilon off
+/// the wire, so score_candidate itself rejects inputs the coordinator's
+/// join would have: each bad input below must throw, never index or
+/// divide on it.
+TEST(ReplayPanel, ScoreCandidateRejectsBadInputs) {
+  ExperimentConfig config;
+  config.graph_family = GraphFamily::kComplete;
+  config.num_arms = 4;
+  const Graph graph = build_graph(config);
+  const std::vector<double> model(4, 0.5);
+  replay::ReplayOptions options;
+  options.epsilon = 0.1;
+  const auto records_with = [](ArmId action, double propensity) {
+    std::vector<serve::EventRecord> records(2);
+    records[0].type = serve::EventType::kDecision;
+    records[0].decision_id = 1;
+    records[0].key = "alice";
+    records[0].action = action;
+    records[0].propensity = propensity;
+    records[1].type = serve::EventType::kFeedback;
+    records[1].decision_id = 1;
+    records[1].reward = 1.0;
+    return records;
+  };
+  const auto score = [&](const std::vector<serve::EventRecord>& records,
+                         const replay::ReplayOptions& opts,
+                         const std::vector<double>& arm_model) {
+    return replay::score_candidate(graph, records, "ucb1", opts, arm_model,
+                                   0.5);
+  };
+
+  EXPECT_EQ(score(records_with(2, 0.5), options, model).ips_stat.count(), 1u);
+  // Logged action outside the graph's arms.
+  EXPECT_THROW(score(records_with(4, 0.5), options, model),
+               std::invalid_argument);
+  EXPECT_THROW(score(records_with(-1, 0.5), options, model),
+               std::invalid_argument);
+  // Arm model sized for another graph.
+  EXPECT_THROW(score(records_with(2, 0.5), options, {0.5, 0.5, 0.5}),
+               std::invalid_argument);
+  // Epsilon outside [0, 1].
+  replay::ReplayOptions bad_eps = options;
+  bad_eps.epsilon = 1.5;
+  EXPECT_THROW(score(records_with(2, 0.5), bad_eps, model),
+               std::invalid_argument);
+  bad_eps.epsilon = std::nan("");
+  EXPECT_THROW(score(records_with(2, 0.5), bad_eps, model),
+               std::invalid_argument);
+  // Non-positive propensity.
+  EXPECT_THROW(score(records_with(2, 0.0), options, model),
+               std::invalid_argument);
+  EXPECT_THROW(score(records_with(2, -0.5), options, model),
+               std::invalid_argument);
+  EXPECT_THROW(score(records_with(2, std::nan("")), options, model),
+               std::invalid_argument);
+}
+
 TEST(Estimators, AccumulatorFormulas) {
   replay::EstimatorAccumulator acc;
   acc.add(/*weight=*/2.0, /*reward=*/1.0, /*direct=*/0.5, /*model=*/0.25);
@@ -183,33 +320,73 @@ TEST(Estimators, RewardModelFallsBackToGlobalMean) {
 /// The construction identity: the logging policy replayed at matched
 /// graph/seed/epsilon reprices every logged action at its logged
 /// propensity, so every weight is exactly 1.0 and IPS collapses onto the
-/// log's own empirical reward sequence — equal to the last bit.
+/// log's own empirical reward sequence — equal to the last bit. It must
+/// hold for loggers whose select depends on t, and when feedback is lost
+/// or arrives late and out of order.
 TEST(ReplayPanel, LoggingPolicyIpsIdentityIsExact) {
-  TempDir tmp;
-  ServeSetup setup;
-  const std::string path = tmp.file("serve.ncbl");
-  const double online_mean = drive_engine(setup, setup.policy_spec, path);
+  struct Feedback {
+    const char* name;
+    double lost;
+    std::size_t delay;
+  };
+  const Feedback patterns[] = {{"lockstep", 0.0, 0},
+                               {"lost", 0.05, 0},
+                               {"delayed", 0.0, 24},
+                               {"lost+delayed", 0.05, 24}};
+  for (const char* logger : {"eps-greedy:eps=0", "ucb1", "dfl-sso"}) {
+    for (const Feedback& feedback : patterns) {
+      SCOPED_TRACE(std::string(logger) + ", " + feedback.name);
+      TempDir tmp;
+      ServeSetup setup;
+      setup.lost = feedback.lost;
+      setup.delay = feedback.delay;
+      const std::string path = tmp.file("serve.ncbl");
+      const double online_mean = drive_engine(setup, logger, path);
 
-  const serve::EventLogScan scan = serve::read_event_log(path);
-  EXPECT_FALSE(scan.truncated_tail);
-  replay::ReplayOptions options;
-  options.epsilon = setup.epsilon;
-  options.seed = setup.seed;
-  const replay::PanelResult panel = replay::replay_panel(
-      make_graph(setup), scan, {setup.policy_spec}, options);
+      const serve::EventLogScan scan = serve::read_event_log(path);
+      EXPECT_FALSE(scan.truncated_tail);
+      replay::ReplayOptions options;
+      options.epsilon = setup.epsilon;
+      options.seed = setup.seed;
+      const replay::PanelResult panel =
+          replay::replay_panel(make_graph(setup), scan, {logger}, options);
 
-  EXPECT_EQ(panel.joined, setup.horizon);
-  EXPECT_DOUBLE_EQ(panel.empirical_mean, online_mean);
-  const replay::CandidateSummary& logger = panel.candidates.at(0);
-  EXPECT_EQ(logger.events, setup.horizon);
-  // Bitwise, not approximate: == on doubles is the point of the test.
-  EXPECT_EQ(logger.ips_mean, panel.empirical_mean);
-  EXPECT_EQ(logger.ips_variance, panel.empirical_variance);
-  EXPECT_EQ(logger.snips, panel.empirical_mean);
-  EXPECT_EQ(logger.ess, static_cast<double>(setup.horizon));
-  EXPECT_EQ(logger.max_weight, 1.0);
-  // The replayed sampled-action stream reproduces the served actions.
-  EXPECT_EQ(logger.matched, setup.horizon);
+      EXPECT_EQ(panel.decisions, setup.horizon);
+      EXPECT_EQ(panel.joined, panel.feedbacks);
+      if (feedback.lost > 0.0) {
+        EXPECT_LT(panel.joined, setup.horizon);
+      } else {
+        EXPECT_EQ(panel.joined, setup.horizon);
+      }
+      // Welford's running mean and a plain sum over n round differently, by
+      // up to 14 DBL_EPSILON relative on these logs; on the lockstep
+      // eps-greedy:eps=0 log they agree, and that case keeps its exact checks.
+      const bool exact_mean = std::string(logger) == "eps-greedy:eps=0" &&
+                              feedback.lost == 0.0 && feedback.delay == 0;
+      if (exact_mean) {
+        EXPECT_DOUBLE_EQ(panel.empirical_mean, online_mean);
+      } else {
+        EXPECT_NEAR(panel.empirical_mean, online_mean,
+                    32 * DBL_EPSILON * std::abs(online_mean));
+      }
+      const replay::CandidateSummary& replayed = panel.candidates.at(0);
+      EXPECT_EQ(replayed.decisions, setup.horizon);
+      EXPECT_EQ(replayed.events, panel.joined);
+      // Bitwise, not approximate: == on doubles is the point of the test.
+      EXPECT_EQ(replayed.ips_mean, panel.empirical_mean);
+      EXPECT_EQ(replayed.ips_variance, panel.empirical_variance);
+      // SNIPS is sum(1 * r) / sum(1) over the feedbacks in log order: the
+      // plain sum the online run divided.
+      EXPECT_EQ(replayed.snips, online_mean);
+      if (exact_mean) {
+        EXPECT_EQ(replayed.snips, panel.empirical_mean);
+      }
+      EXPECT_EQ(replayed.ess, static_cast<double>(panel.joined));
+      EXPECT_EQ(replayed.max_weight, 1.0);
+      // The replayed sampled-action stream reproduces the served actions.
+      EXPECT_EQ(replayed.matched, replayed.events);
+    }
+  }
 }
 
 /// Engine-logged propensities sit on the eps/K floor, which caps every

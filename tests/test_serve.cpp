@@ -388,7 +388,7 @@ TEST(DecisionEngine, LogRecordsDecisionsAndFeedbackInCallOrder) {
   EXPECT_EQ(scan.records[1].key, "bob");
   EXPECT_EQ(scan.records[2].type, EventType::kFeedback);
   EXPECT_EQ(scan.records[2].decision_id, scan.records[0].decision_id);
-  EXPECT_EQ(scan.joined, 2u);
+  EXPECT_EQ(join_event_log(scan).joined, 2u);
 }
 
 // ------------------------------------------------------------- server ---
@@ -649,7 +649,8 @@ TEST(ServeServer, ConnectionCountDoesNotChangeDecisionsOrLog) {
   std::ofstream(copy, std::ios::binary) << one.log_bytes;
   const EventLogScan scan = read_event_log(copy);
   ASSERT_EQ(scan.records.size(), static_cast<std::size_t>(2 * kRequests));
-  EXPECT_EQ(scan.joined, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(join_event_log(scan).joined,
+            static_cast<std::uint64_t>(kRequests));
   EXPECT_FALSE(scan.truncated_tail);
   for (int i = 0; i < kRequests; ++i) {
     const auto idx = static_cast<std::size_t>(2 * i);

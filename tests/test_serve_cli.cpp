@@ -202,9 +202,9 @@ TEST(ServeCliInspect, JsonBlockReportsJoinHealth) {
   const std::string out = dir.file("out");
   ASSERT_EQ(run_serve({"--inspect-log", log_path}, out), 0);
   const std::string text = read_text(out);
-  // Prose summary line first (scan-level join: the duplicate feedback
-  // still matches a decision), then the JSON block (strict join).
-  EXPECT_NE(text.find("records=9 decisions=4 feedbacks=5 joined=4"),
+  // Prose summary line first, then the JSON block; both print the one
+  // joined count, which leaves the duplicate feedback out.
+  EXPECT_NE(text.find("records=9 decisions=4 feedbacks=5 joined=3"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("\"schema\": 1"), std::string::npos);
