@@ -30,6 +30,8 @@ int main(int argc, char** argv) {
 
   std::cout << "series,t,expected_regret\n";
   print_series_csv("DFL-SSR", result.expected_regret(), flags.csv_points);
+  std::cout << "series,t,realized_regret\n";
+  print_series_csv("DFL-SSR", result.per_slot_regret.means(), flags.csv_points);
   print_figure("Fig 5 expected regret (DFL-SSR)",
                {{"DFL-SSR", result.expected_regret()}}, "E[regret]", 1.0);
   maybe_write_svg(flags, "fig5", "Fig 5 expected regret (DFL-SSR)",

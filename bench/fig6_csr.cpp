@@ -34,6 +34,8 @@ int main(int argc, char** argv) {
 
   std::cout << "series,t,expected_regret\n";
   print_series_csv("DFL-CSR", result.expected_regret(), flags.csv_points);
+  std::cout << "series,t,realized_regret\n";
+  print_series_csv("DFL-CSR", result.per_slot_regret.means(), flags.csv_points);
   print_figure("Fig 6 expected regret (DFL-CSR)",
                {{"DFL-CSR", result.expected_regret()}}, "E[regret]", 1.0);
   maybe_write_svg(flags, "fig6", "Fig 6 expected regret (DFL-CSR)",

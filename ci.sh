@@ -383,14 +383,17 @@ PY
 # code), so the guards build BENCH_ANCHOR's scaling_k and obs_overhead in
 # build-anchor/ and run every guarded benchmark BENCH_GUARD_ROUNDS times on
 # the anchor and the change, alternating which goes first, one process
-# each. A guard fails when the median of a benchmark's per-round
-# change/anchor ratios exceeds 1.5x. Its report always lands in
+# each, every process pinned to the same single CPU with taskset (which
+# binds only the processes it starts) so the two sides never run on
+# different cores. A guard fails when the median of a benchmark's
+# per-round change/anchor ratios exceeds 1.5x; it reports its own wall
+# time, to set against the CI job's 20-minute limit. Its report always lands in
 # build/bench_<tag>_regression.txt (uploaded as a CI artifact) so a red run
 # shows exactly which point moved. Benchmarks the anchor lacks are reported
 # but never fail a guard. Move the anchor only together with a CHANGES.md
 # note giving its old and new numbers.
 BENCH_ANCHOR=0f63384ab1d2397377e89a932c3b6c35fc20b618
-BENCH_GUARD_ROUNDS=3
+BENCH_GUARD_ROUNDS=7
 BENCH_GUARD_FILTER='^BM_(DflSsoSlot|ClosedNeighborhoodSweep)'
 
 bench_anchor_build() {
@@ -416,7 +419,12 @@ bench_anchor_build() {
 paired_guard() {
   local binary="$1" filter="$2" tag="$3"
   local min_time="${NCB_BENCH_MIN_TIME:-0.05}" name round sides side bin
+  local cpu start=$SECONDS
   bench_anchor_build
+  # The last CPU this shell may run on ("0-3" -> 3, "0,2,5-7" -> 7).
+  cpu=$(taskset -pc $$ | sed 's/.*: //')
+  cpu=${cpu##*,}
+  cpu=${cpu##*-}
   rm -f "build/bench_guard_${tag}"_*.json
   while read -r name; do
     for round in $(seq 1 "$BENCH_GUARD_ROUNDS"); do
@@ -426,7 +434,7 @@ paired_guard() {
       for side in $sides; do
         bin="build/bench/${binary}"
         [ "$side" = anchor ] && bin="build-anchor/build/bench/${binary}"
-        "$bin" --benchmark_filter="^${name}\$" \
+        taskset -c "$cpu" "$bin" --benchmark_filter="^${name}\$" \
             --benchmark_min_time="$min_time" --benchmark_out_format=json \
             --benchmark_out="build/bench_guard_${tag}_${side}_${round}_${name//\//_}.json" \
             > /dev/null
@@ -434,7 +442,7 @@ paired_guard() {
     done
   done < <("build/bench/${binary}" --benchmark_list_tests \
                --benchmark_filter="$filter")
-  python3 - "$BENCH_ANCHOR" "$tag" <<'PY'
+  python3 - "$BENCH_ANCHOR" "$tag" "$((SECONDS - start))" "$cpu" <<'PY'
 import glob
 import json
 import os
@@ -442,7 +450,7 @@ import statistics
 import sys
 
 THRESHOLD = 1.5
-anchor_commit, tag = sys.argv[1], sys.argv[2]
+anchor_commit, tag, wall_s, cpu = sys.argv[1:5]
 
 # times[side][name] = one real_time per round, in the benchmark's unit.
 times = {"anchor": {}, "change": {}}
@@ -479,7 +487,9 @@ with open(f"build/bench_{tag}_change.json", "w") as f:
     json.dump({name: round(statistics.median(v), 2)
                for name, v in sorted(times["change"].items())}, f, indent=1)
     f.write("\n")
-report = f"anchor {anchor_commit}\n" + "\n".join(lines) + "\n"
+report = (f"anchor {anchor_commit}\n" + "\n".join(lines) + "\n"
+          f"{tag} bench guard: {wall_s} s wall (anchor build included), "
+          f"pinned to cpu {cpu}\n")
 with open(f"build/bench_{tag}_regression.txt", "w") as f:
     f.write(report)
 sys.stdout.write(report)

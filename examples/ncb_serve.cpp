@@ -41,6 +41,9 @@ int usage(const char* program) {
          "       " << program << " --inspect-log <file>\n"
          "  --socket <path>   AF_UNIX socket to bind and serve on\n"
          "  --policy <spec>   policy registry spec (default: dfl-sso)\n"
+         "                    Feedback carries only the played arm's reward,\n"
+         "                    no side observations, so a served dfl-sso runs\n"
+         "                    as anytime MOSS\n"
          "  --epsilon E       exploration rate in [0,1] (default: 0.05)\n"
          "  --arms K          number of arms (default: 100)\n"
          "  --graph <family>  er|complete|empty|star|cycle|cliques|ba|ws\n"
@@ -130,6 +133,8 @@ int inspect_log(const std::string& path) {
             << " decisions=" << scan.decisions
             << " feedbacks=" << scan.feedbacks << " joined=" << join.joined
             << " valid_bytes=" << scan.valid_bytes << '\n';
+  std::cout << "feedback: played arm only (no side observations are "
+               "logged, so a served dfl-sso ran as anytime MOSS)\n";
   // Join-health block: the same numbers in one machine-readable JSON
   // object, plus what the prose line cannot say — how many feedbacks were
   // orphans or duplicates and how many decisions never got a reward.

@@ -36,6 +36,7 @@ RepSample sample_run(const RunResult& run, const std::vector<TimeSlot>& grid) {
   RepSample sample;
   sample.per_slot.reserve(grid.size());
   sample.cumulative.reserve(grid.size());
+  sample.pseudo.reserve(grid.size());
   for (const TimeSlot t : grid) {
     const auto i = static_cast<std::size_t>(t - 1);
     if (i >= run.per_slot_regret.size()) {
@@ -43,20 +44,25 @@ RepSample sample_run(const RunResult& run, const std::vector<TimeSlot>& grid) {
     }
     sample.per_slot.push_back(run.per_slot_regret[i]);
     sample.cumulative.push_back(run.cumulative_regret[i]);
+    sample.pseudo.push_back(run.per_slot_pseudo_regret[i]);
   }
   sample.final_cumulative =
       run.cumulative_regret.empty() ? 0.0 : run.cumulative_regret.back();
+  sample.optimal_per_slot = run.optimal_per_slot;
   return sample;
 }
 
 void JobAggregate::add_rep(const RepSample& sample) {
   if (sample.per_slot.size() != grid_.size() ||
-      sample.cumulative.size() != grid_.size()) {
+      sample.cumulative.size() != grid_.size() ||
+      sample.pseudo.size() != grid_.size()) {
     throw std::invalid_argument("JobAggregate: sample/grid length mismatch");
   }
-  expected_.add_series(sample.per_slot);
+  per_slot_.add_series(sample.per_slot);
   cumulative_.add_series(sample.cumulative);
+  pseudo_.add_series(sample.pseudo);
   final_.add(sample.final_cumulative);
+  optimal_per_slot_ = sample.optimal_per_slot;
 }
 
 }  // namespace ncb::exp

@@ -1,12 +1,11 @@
-// Streaming mergeable aggregates for the sweep engine.
-//
-// A replication's regret trajectory is sampled at a fixed checkpoint grid
-// the moment the run finishes, then the trajectory is dropped — shards carry
-// only O(reps × checkpoints) samples, never full horizon-length series. Job
-// aggregation feeds the samples to Welford accumulators in global
-// replication order (shards in index order, replications in order within a
-// shard), so the aggregate is bit-identical for any thread count AND any
-// shard size.
+// Streaming aggregates over a job's replications, the one reduction behind
+// every regret curve and ±ci95 the repo reports. A replication's regret
+// curves are sampled at a grid the moment the run finishes, then the run is
+// dropped. The one replication fold (exp::run_replications) feeds samples
+// to Welford accumulators strictly in global replication order, so an
+// aggregate is bit-identical for any thread count, any shard size, and
+// either grid user: the sweep's checkpoint grid or run_sharded_*'s dense
+// grid 1..n.
 #pragma once
 
 #include <vector>
@@ -22,11 +21,13 @@ namespace ncb::exp {
 [[nodiscard]] std::vector<TimeSlot> checkpoint_grid(TimeSlot horizon,
                                                     std::size_t count);
 
-/// One replication's regret curve compressed onto a checkpoint grid.
+/// One replication's regret curves compressed onto a grid.
 struct RepSample {
-  std::vector<double> per_slot;    ///< Per-slot (expected) regret at grid[i].
+  std::vector<double> per_slot;    ///< Realized per-slot regret at grid[i].
   std::vector<double> cumulative;  ///< Accumulated regret at grid[i].
+  std::vector<double> pseudo;      ///< Per-slot pseudo-regret at grid[i].
   double final_cumulative = 0.0;   ///< Accumulated regret at the horizon.
+  double optimal_per_slot = 0.0;   ///< The run's μ*, u*, λ* or σ*.
 };
 
 /// Samples a finished run at the grid slots. The run must have recorded its
@@ -34,36 +35,34 @@ struct RepSample {
 [[nodiscard]] RepSample sample_run(const RunResult& run,
                                    const std::vector<TimeSlot>& grid);
 
-/// Everything one shard hands back to the job aggregator.
-struct ShardSamples {
-  std::vector<RepSample> reps;  ///< In replication order within the shard.
-  double optimal_per_slot = 0.0;
-};
-
-/// Welford mean/variance of the regret curves at the checkpoint grid, plus
-/// the final-cumulative scalar distribution. add_rep() must be called in
-/// global replication order for bit-reproducible output.
+/// Welford mean/variance of the regret curves at the grid, plus the
+/// final-cumulative scalar distribution. add_rep() must be called in global
+/// replication order for bit-reproducible output.
 class JobAggregate {
  public:
   JobAggregate() = default;
   explicit JobAggregate(std::vector<TimeSlot> grid)
       : grid_(std::move(grid)),
-        expected_(grid_.size()),
-        cumulative_(grid_.size()) {}
+        per_slot_(grid_.size()),
+        cumulative_(grid_.size()),
+        pseudo_(grid_.size()) {}
 
   void add_rep(const RepSample& sample);
-  void set_optimal(double optimal_per_slot) noexcept {
-    optimal_per_slot_ = optimal_per_slot;
-  }
 
   [[nodiscard]] const std::vector<TimeSlot>& grid() const noexcept {
     return grid_;
   }
-  [[nodiscard]] const SeriesStat& expected() const noexcept {
-    return expected_;
+  /// Realized per-slot regret (the sweep JSON's "expected_*" arrays).
+  [[nodiscard]] const SeriesStat& per_slot_regret() const noexcept {
+    return per_slot_;
   }
-  [[nodiscard]] const SeriesStat& cumulative() const noexcept {
+  [[nodiscard]] const SeriesStat& cumulative_regret() const noexcept {
     return cumulative_;
+  }
+  /// Per-slot pseudo-regret: opt mean − chosen action's mean. The emitters
+  /// do not print it; the figures plot its means as expected regret.
+  [[nodiscard]] const SeriesStat& per_slot_pseudo_regret() const noexcept {
+    return pseudo_;
   }
   [[nodiscard]] const RunningStat& final_cumulative() const noexcept {
     return final_;
@@ -77,8 +76,9 @@ class JobAggregate {
 
  private:
   std::vector<TimeSlot> grid_;
-  SeriesStat expected_;
+  SeriesStat per_slot_;
   SeriesStat cumulative_;
+  SeriesStat pseudo_;
   RunningStat final_;
   double optimal_per_slot_ = 0.0;
 };

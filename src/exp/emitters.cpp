@@ -61,10 +61,10 @@ JobRecord JobRecord::from(const SweepJob& job, const JobAggregate& aggregate) {
       is_combinatorial(job.scenario) ? job.config.strategy_size : 0;
   record.optimal_per_slot = aggregate.optimal_per_slot();
   record.checkpoints = aggregate.grid();
-  record.expected_mean = aggregate.expected().means();
-  record.expected_sd = aggregate.expected().stddevs();
-  record.cumulative_mean = aggregate.cumulative().means();
-  record.cumulative_sd = aggregate.cumulative().stddevs();
+  record.expected_mean = aggregate.per_slot_regret().means();
+  record.expected_sd = aggregate.per_slot_regret().stddevs();
+  record.cumulative_mean = aggregate.cumulative_regret().means();
+  record.cumulative_sd = aggregate.cumulative_regret().stddevs();
   record.final_mean = aggregate.final_cumulative().mean();
   record.final_sd = aggregate.final_cumulative().stddev();
   record.final_min = aggregate.final_cumulative().min();

@@ -1,23 +1,22 @@
-// The replication driver: seeds, runs and merges a job's independent
+// The replication driver: seeds, runs and reduces a job's independent
 // replications, the mean over which is every regret curve of Figs. 3–6.
 //
-// Replication r always runs the same recipe (run_replication): environment
-// seed derive_seed_at(master_seed, 2r), policy seed derive_seed_at(
-// master_seed, 2r + 1), an Environment over the shared instance, and the
-// scenario's runner. Replications are grouped into "shards", contiguous
-// blocks that each run as one thread-pool task. Sharding is horizon-aware:
-// long-horizon jobs get shards of one replication (maximum parallelism),
-// short jobs get bigger shards so per-task overhead stays negligible. Shard
-// results merge in shard-index order, so a job's output is bit-identical
-// for any thread count — including no pool at all — under a fixed shard
-// plan.
+// Replication r runs with environment seed derive_seed_at(master_seed, 2r)
+// and policy seed derive_seed_at(master_seed, 2r + 1) over the shared
+// instance. Replications are grouped into "shards", contiguous blocks that
+// each run as one thread-pool task; long horizons get one-replication
+// shards, short ones bigger shards so per-task overhead stays negligible.
+// The one reduction, run_replications, folds every run's samples into one
+// JobAggregate strictly in global replication order, so a job's output is
+// bit-identical for any thread count (or no pool), any shard plan, and
+// either entry point: run_sweep_job and run_sharded_* agree bit for bit.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 
+#include "exp/aggregate.hpp"
 #include "sim/experiment.hpp"
 #include "sim/runner.hpp"
 #include "sim/thread_pool.hpp"
@@ -37,14 +36,20 @@ struct ReplicatedResult {
 
   /// Mean expected (per-slot) regret series — what Figs. 3(a), 4, 5, 6 plot.
   [[nodiscard]] std::vector<double> expected_regret() const {
-    return per_slot_regret.means();
+    return per_slot_pseudo_regret.means();
   }
   /// Mean accumulated regret series — Fig. 3(b).
   [[nodiscard]] std::vector<double> accumulated_regret() const {
     return cumulative_regret.means();
   }
   /// Mean average regret R_t/t series (a smoother zero-regret diagnostic).
-  [[nodiscard]] std::vector<double> average_regret() const;
+  [[nodiscard]] std::vector<double> average_regret() const {
+    std::vector<double> avg = cumulative_regret.means();
+    for (std::size_t i = 0; i < avg.size(); ++i) {
+      avg[i] /= static_cast<double>(i + 1);
+    }
+    return avg;
+  }
 };
 
 /// Creates a fresh policy for one replication; `seed` is that replication's
@@ -61,16 +66,6 @@ struct ReplicationOptions {
   /// Worker pool to parallelize over; nullptr runs sequentially.
   ThreadPool* pool = nullptr;
 };
-
-/// Runs one named single-play policy on the config's instance.
-[[nodiscard]] ReplicatedResult run_single_experiment(
-    const ExperimentConfig& config, const std::string& policy_name,
-    Scenario scenario, ThreadPool* pool = nullptr);
-
-/// Runs one named combinatorial policy on the config's instance.
-[[nodiscard]] ReplicatedResult run_combinatorial_experiment(
-    const ExperimentConfig& config, const std::string& policy_name,
-    Scenario scenario, ThreadPool* pool = nullptr);
 
 }  // namespace ncb
 
@@ -107,31 +102,30 @@ struct ShardPlan {
                                     TimeSlot horizon,
                                     std::size_t shard_size_override = 0);
 
-/// Runs `fn(shard)` for every shard of the plan: bulk-enqueued on `pool`
-/// (one lock, one wake-up) when non-null, inline in shard order otherwise.
-/// Blocks until all shards finished; rethrows the first shard exception.
-void for_each_shard(const ShardPlan& plan, ThreadPool* pool,
-                    const std::function<void(std::size_t)>& fn);
-
-/// Runs replication `r` of a job seeded by `master_seed`: an Environment
-/// over `instance` seeded with derive_seed_at(master_seed, 2r), a policy
-/// built with seed derive_seed_at(master_seed, 2r + 1), and
-/// run_combinatorial (over `family`, with `make_combinatorial`) or
-/// run_single_play (with `make_single`) as `scenario` requires. Only the
-/// factory the scenario needs has to be set. Thread-safe across distinct r.
-[[nodiscard]] RunResult run_replication(
-    std::size_t r, std::uint64_t master_seed,
-    const std::shared_ptr<const BanditInstance>& instance, Scenario scenario,
+/// The one replication reduction. Runs replications [0, plan.replications)
+/// of a job seeded by `master_seed`, one pool task per shard (inline in
+/// shard order when `pool` is null), through run_combinatorial over
+/// `family` or run_single_play as `scenario` requires; only that play
+/// mode's factory has to be set. Each run is sampled at `grid` as it
+/// finishes, then dropped, and the samples fold into one JobAggregate
+/// strictly in global replication order, eagerly: a shard that finishes
+/// ahead of its turn keeps its samples only until every earlier shard has
+/// been folded. `should_stop` is checked before each shard; a skipped
+/// shard and every shard after it fold nothing, leaving the aggregate
+/// short of plan.replications. Rethrows the first shard exception.
+[[nodiscard]] JobAggregate run_replications(
+    const ShardPlan& plan, std::uint64_t master_seed,
+    const std::shared_ptr<const BanditInstance>& instance,
+    const FeasibleSet* family, Scenario scenario,
     const SinglePolicyFactory& make_single,
     const CombinatorialPolicyFactory& make_combinatorial,
-    const FeasibleSet* family, const RunnerOptions& runner);
+    const RunnerOptions& runner, std::vector<TimeSlot> grid, ThreadPool* pool,
+    const std::function<bool()>& should_stop = {});
 
 /// Runs `options.replications` independent single-play simulations of the
-/// instance and aggregates their regret series. Replications are split per
-/// `plan_shards(options.replications, options.runner.horizon)`; each shard
-/// aggregates its replications in order and shard aggregates merge in
-/// shard-index order, so the result does not depend on options.pool (or
-/// its thread count) at all. Throws std::invalid_argument when
+/// instance through run_replications over the dense grid 1..horizon, so the
+/// result equals run_sweep_job's dense aggregate of the same job bit for
+/// bit, whatever options.pool is. Throws std::invalid_argument when
 /// `make_policy` is null or `scenario` is combinatorial.
 [[nodiscard]] ReplicatedResult run_sharded_single(
     const SinglePolicyFactory& make_policy, const BanditInstance& instance,
@@ -143,5 +137,10 @@ void for_each_shard(const ShardPlan& plan, ThreadPool* pool,
     const CombinatorialPolicyFactory& make_policy,
     const BanditInstance& instance, const FeasibleSet& family,
     Scenario scenario, const ReplicationOptions& options);
+
+/// The dense aggregate of a job as a ReplicatedResult (series index i is
+/// slot i + 1).
+[[nodiscard]] ReplicatedResult to_replicated(const JobAggregate& aggregate,
+                                             Scenario scenario);
 
 }  // namespace ncb::exp

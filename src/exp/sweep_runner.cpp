@@ -3,6 +3,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/policy_registry.hpp"
@@ -51,18 +52,12 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
                          const SweepRunOptions& options) {
   Timer timer;
   const ExperimentConfig& config = job.config;
-  const std::vector<TimeSlot> grid =
-      checkpoint_grid(config.horizon, checkpoints);
-  const bool combinatorial = is_combinatorial(job.scenario);
   InstanceCache local_cache;
   InstanceCache& cache =
       options.instance_cache ? *options.instance_cache : local_cache;
-  const InstanceCache::Entry& built = cache.get(config, combinatorial);
-  const std::shared_ptr<const BanditInstance>& instance = built.instance;
-  const std::shared_ptr<const FeasibleSet>& family = built.family;
+  const InstanceCache::Entry& built =
+      cache.get(config, is_combinatorial(job.scenario));
 
-  RunnerOptions runner;
-  runner.horizon = config.horizon;
   const SinglePolicyFactory make_single = [&](std::uint64_t seed) {
     return PolicyRegistry::instance().make_single_play(
         job.policy, config.horizon, seed);
@@ -70,45 +65,23 @@ JobOutcome run_sweep_job(const SweepJob& job, std::size_t checkpoints,
   const CombinatorialPolicyFactory make_combinatorial =
       [&](std::uint64_t seed) {
         return PolicyRegistry::instance().make_combinatorial(
-            job.policy, family, seed);
+            job.policy, built.family, seed);
       };
-
-  const auto cancelled = [&options] {
-    return options.should_stop && options.should_stop();
-  };
 
   const ShardPlan plan =
       plan_shards(config.replications, config.horizon, options.shard_size);
-  std::vector<ShardSamples> shards(plan.num_shards());
-  for_each_shard(plan, options.pool, [&](std::size_t s) {
-    // A cancelled shard stays empty; the job is then reported incomplete
-    // and dropped, so partial aggregates never reach an emitter.
-    if (cancelled()) return;
-    ShardSamples out;
-    out.reps.reserve(plan.shard_end(s) - plan.shard_begin(s));
-    for (std::size_t r = plan.shard_begin(s); r < plan.shard_end(s); ++r) {
-      const RunResult run = run_replication(
-          r, config.seed, instance, job.scenario, make_single,
-          make_combinatorial, family.get(), runner);
-      out.reps.push_back(sample_run(run, grid));
-      out.optimal_per_slot = run.optimal_per_slot;
-    }
-    shards[s] = std::move(out);
-  });
-
   JobOutcome outcome;
   outcome.job = job;
-  outcome.aggregate = JobAggregate(grid);
-  for (const ShardSamples& shard : shards) {
-    for (const RepSample& rep : shard.reps) outcome.aggregate.add_rep(rep);
-    if (!shard.reps.empty()) {
-      outcome.aggregate.set_optimal(shard.optimal_per_slot);
-    }
-  }
+  // A cancelled shard folds nothing; the job is then reported incomplete
+  // and dropped, so partial aggregates never reach an emitter.
+  outcome.aggregate = run_replications(
+      plan, config.seed, built.instance, built.family.get(), job.scenario,
+      make_single, make_combinatorial, {.horizon = config.horizon},
+      checkpoint_grid(config.horizon, checkpoints), options.pool,
+      options.should_stop);
   outcome.shards = plan.num_shards();
   outcome.shard_size = plan.shard_size;
-  outcome.complete =
-      outcome.aggregate.replications() == config.replications;
+  outcome.complete = outcome.aggregate.replications() == config.replications;
   outcome.seconds = timer.elapsed_seconds();
   return outcome;
 }
@@ -152,3 +125,44 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepRunOptions& options,
 }
 
 }  // namespace ncb::exp
+
+namespace ncb {
+
+namespace {
+
+ReplicatedResult run_experiment(const ExperimentConfig& config,
+                                const std::string& policy_name,
+                                Scenario scenario, ThreadPool* pool,
+                                bool combinatorial) {
+  if (is_combinatorial(scenario) != combinatorial) {
+    throw std::invalid_argument(
+        std::string(combinatorial ? "run_combinatorial" : "run_single") +
+        "_experiment: wrong play mode " + scenario_name(scenario));
+  }
+  exp::SweepJob job;
+  job.policy = policy_name;
+  job.scenario = scenario;
+  job.config = config;
+  exp::SweepRunOptions options;
+  options.pool = pool;
+  return exp::to_replicated(
+      exp::run_sweep_job(job, /*checkpoints=*/0, options).aggregate,
+      scenario);
+}
+
+}  // namespace
+
+ReplicatedResult run_single_experiment(const ExperimentConfig& config,
+                                       const std::string& policy_name,
+                                       Scenario scenario, ThreadPool* pool) {
+  return run_experiment(config, policy_name, scenario, pool, false);
+}
+
+ReplicatedResult run_combinatorial_experiment(const ExperimentConfig& config,
+                                              const std::string& policy_name,
+                                              Scenario scenario,
+                                              ThreadPool* pool) {
+  return run_experiment(config, policy_name, scenario, pool, true);
+}
+
+}  // namespace ncb

@@ -1,10 +1,10 @@
-// The sweep engine's execution layer: expand a SweepSpec, run each job's
-// replications as fine-grained shards on a ThreadPool, and stream mergeable
-// aggregates shard → job → sweep.
+// The sweep engine's execution layer: expand a SweepSpec and run each job's
+// replications through the one replication fold (run_replications) at the
+// job's checkpoint grid, on a ThreadPool.
 //
 // Determinism contract: a job's aggregate (and therefore the emitted JSON)
 // is bit-identical for any thread count and any shard size, because every
-// replication draws counter-based seeds and samples merge in global
+// replication draws counter-based seeds and samples fold in global
 // replication order. Timing is collected separately and never enters the
 // deterministic records.
 #pragma once
@@ -98,8 +98,8 @@ struct SweepResult {
 };
 
 /// Runs one expanded job: builds the instance (and family when
-/// combinatorial), shards its replications, and aggregates at the job's
-/// checkpoint grid (`checkpoints` as in SweepSpec, 0 = dense).
+/// combinatorial) and folds its replications through run_replications at
+/// the job's checkpoint grid (`checkpoints` as in SweepSpec, 0 = dense).
 [[nodiscard]] JobOutcome run_sweep_job(const SweepJob& job,
                                        std::size_t checkpoints,
                                        const SweepRunOptions& options);
@@ -111,3 +111,19 @@ struct SweepResult {
                                     const std::set<std::string>& skip_keys = {});
 
 }  // namespace ncb::exp
+
+namespace ncb {
+
+/// Runs one named single-play policy on the config's instance: a one-policy
+/// job through run_sweep_job at the dense grid. Throws std::invalid_argument
+/// for an unknown policy or a combinatorial scenario.
+[[nodiscard]] ReplicatedResult run_single_experiment(
+    const ExperimentConfig& config, const std::string& policy_name,
+    Scenario scenario, ThreadPool* pool = nullptr);
+
+/// The same for a combinatorial policy and scenario.
+[[nodiscard]] ReplicatedResult run_combinatorial_experiment(
+    const ExperimentConfig& config, const std::string& policy_name,
+    Scenario scenario, ThreadPool* pool = nullptr);
+
+}  // namespace ncb

@@ -7,19 +7,18 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "core/policy_registry.hpp"
 #include "dist/worker.hpp"
 #include "exp/sweep_spec.hpp"
 #include "wire/frame.hpp"
 
 namespace ncb::replay {
 
-namespace {
-
 using wire::Frame;
 using wire::MsgType;
 using wire::WireReader;
 using wire::WireWriter;
+
+namespace {
 
 /// Target encoded size of one ReplayEvents chunk. Well under the 16 MiB
 /// frame cap with room for the longest plausible key; small enough that a
@@ -28,25 +27,25 @@ constexpr std::size_t kChunkBytes = 1u << 20;
 /// ReplayEvents header: u32 chunk_index | u32 count.
 constexpr std::size_t kChunkHeaderBytes = 8;
 
-// ------------------------------------------------------ wire payloads ---
-// All doubles travel as IEEE-754 bit patterns (WireWriter::put_double), so
-// every numeric input to score_candidate reaches the worker exactly — the
-// precondition for the byte-identical assembled panel.
+void put_stat(WireWriter& out, const RunningStat& stat) {
+  out.put_u64(stat.count());
+  out.put_double(stat.mean());
+  out.put_double(stat.m2());
+  out.put_double(stat.min());
+  out.put_double(stat.max());
+}
 
-struct ReplayInitMsg {
-  double epsilon = 0.0;
-  std::uint64_t seed = 0;
-  std::int64_t horizon = 0;
-  std::string family;  ///< exp::family_token of the graph family.
-  std::uint64_t num_arms = 0;
-  double edge_probability = 0.0;
-  std::uint64_t family_param = 0;
-  std::uint64_t graph_seed = 0;
-  double model_arm_average = 0.0;
-  std::vector<double> arm_model;
-  std::uint32_t chunks = 0;        ///< ReplayEvents frames to expect.
-  std::uint64_t total_records = 0; ///< Sum of chunk record counts.
-};
+RunningStat get_stat(WireReader& in) {
+  const std::uint64_t count = in.get_u64();
+  const double mean = in.get_double();
+  const double m2 = in.get_double();
+  const double min = in.get_double();
+  const double max = in.get_double();
+  return RunningStat::restore(static_cast<std::size_t>(count), mean, m2, min,
+                              max);
+}
+
+}  // namespace
 
 std::string encode_replay_init(const ReplayInitMsg& msg) {
   WireWriter out;
@@ -90,10 +89,6 @@ ReplayInitMsg decode_replay_init(const std::string& payload) {
   return msg;
 }
 
-/// Splits the record stream into ReplayEvents payloads of roughly
-/// kChunkBytes each, preserving stream order across chunk boundaries.
-/// Layout: u32 chunk_index | u32 count | count records, byte-for-byte as
-/// the event log file stores them.
 std::vector<std::string> encode_event_chunks(
     const std::vector<serve::EventRecord>& records) {
   std::vector<std::string> chunks;
@@ -115,8 +110,6 @@ std::vector<std::string> encode_event_chunks(
   return chunks;
 }
 
-/// Appends one chunk's records to `records`. Unlike the file reader, which
-/// tolerates a torn tail, a chunk must carry exactly its announced records.
 void decode_event_chunk(const std::string& payload,
                         std::uint32_t expected_index,
                         std::vector<serve::EventRecord>& records) {
@@ -141,12 +134,6 @@ void decode_event_chunk(const std::string& payload,
   }
 }
 
-struct ReplayAssignMsg {
-  std::uint32_t index = 0;    ///< Candidate index in the panel order.
-  std::uint32_t attempt = 1;  ///< 1-based; > 1 means crash-requeued.
-  std::string spec;
-};
-
 std::string encode_replay_assign(const ReplayAssignMsg& msg) {
   WireWriter out;
   out.put_u32(msg.index);
@@ -164,29 +151,6 @@ ReplayAssignMsg decode_replay_assign(const std::string& payload) {
   in.finish();
   return msg;
 }
-
-void put_stat(WireWriter& out, const RunningStat& stat) {
-  out.put_u64(stat.count());
-  out.put_double(stat.mean());
-  out.put_double(stat.m2());
-  out.put_double(stat.min());
-  out.put_double(stat.max());
-}
-
-RunningStat get_stat(WireReader& in) {
-  const std::uint64_t count = in.get_u64();
-  const double mean = in.get_double();
-  const double m2 = in.get_double();
-  const double min = in.get_double();
-  const double max = in.get_double();
-  return RunningStat::restore(static_cast<std::size_t>(count), mean, m2, min,
-                              max);
-}
-
-struct ReplayResultMsg {
-  std::uint32_t index = 0;
-  CandidateSummary summary;  ///< Raw state only; display fields unset.
-};
 
 std::string encode_replay_result(const ReplayResultMsg& msg) {
   WireWriter out;
@@ -221,6 +185,8 @@ ReplayResultMsg decode_replay_result(const std::string& payload) {
   in.finish();
   return msg;
 }
+
+namespace {
 
 /// Receives the panel context and the record stream, then scores
 /// candidates through the exact score_candidate path the local panel uses.
@@ -315,13 +281,7 @@ DistPanelSummary run_distributed_panel(const Graph& graph,
   if (dispatch.graph_config == nullptr) {
     throw std::invalid_argument("run_distributed_panel: no graph config");
   }
-  // Identical front-door validation to replay_panel.
-  if (!(options.epsilon >= 0.0 && options.epsilon <= 1.0)) {
-    throw std::invalid_argument("replay: epsilon must be in [0, 1]");
-  }
-  for (const std::string& spec : specs) {
-    PolicyRegistry::instance().check_single_play(spec);
-  }
+  check_panel(specs, options);
 
   DistPanelSummary summary;
   summary.panel = panel_base(graph, scan);

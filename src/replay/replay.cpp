@@ -153,17 +153,20 @@ void finalize_candidate(CandidateSummary& summary) {
                     : 0.0;
 }
 
-PanelResult replay_panel(const Graph& graph, const serve::EventLogScan& scan,
-                         const std::vector<std::string>& specs,
-                         const ReplayOptions& options) {
+void check_panel(const std::vector<std::string>& specs,
+                 const ReplayOptions& options) {
   if (!(options.epsilon >= 0.0 && options.epsilon <= 1.0)) {
     throw std::invalid_argument("replay: epsilon must be in [0, 1]");
   }
-  // Reject every bad spec before touching the (possibly huge) log.
   for (const std::string& spec : specs) {
     PolicyRegistry::instance().check_single_play(spec);
   }
+}
 
+PanelResult replay_panel(const Graph& graph, const serve::EventLogScan& scan,
+                         const std::vector<std::string>& specs,
+                         const ReplayOptions& options) {
+  check_panel(specs, options);
   PanelResult result = panel_base(graph, scan);
   result.candidates.reserve(specs.size());
   for (const std::string& spec : specs) {

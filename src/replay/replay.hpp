@@ -107,8 +107,15 @@ struct PanelResult {
   std::vector<CandidateSummary> candidates;
 };
 
-/// Replays every candidate spec over the scanned log. Validates all specs
-/// up front (PolicyRegistry::check_single_play). Throws
+/// The front-door check both panels (replay_panel, run_distributed_panel)
+/// run before touching the log or starting a worker: throws
+/// std::invalid_argument on epsilon outside [0, 1] or a spec that
+/// PolicyRegistry::check_single_play rejects.
+void check_panel(const std::vector<std::string>& specs,
+                 const ReplayOptions& options);
+
+/// Replays every candidate spec over the scanned log, after check_panel.
+/// Throws
 /// std::invalid_argument on an empty graph, epsilon outside [0, 1], a bad
 /// spec, a logged action outside the graph's arm range (wrong graph
 /// flags), or a non-positive logged propensity.

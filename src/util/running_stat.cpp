@@ -82,16 +82,4 @@ std::vector<double> SeriesStat::stddevs() const {
   return out;
 }
 
-void SeriesStat::merge(const SeriesStat& other) {
-  if (stats_.empty()) {
-    stats_ = other.stats_;
-    return;
-  }
-  if (other.stats_.empty()) return;
-  if (other.stats_.size() != stats_.size()) {
-    throw std::invalid_argument("SeriesStat: merge length mismatch");
-  }
-  for (std::size_t i = 0; i < stats_.size(); ++i) stats_[i].merge(other.stats_[i]);
-}
-
 }  // namespace ncb

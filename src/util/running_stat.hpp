@@ -63,8 +63,6 @@ class SeriesStat {
   [[nodiscard]] std::vector<double> means() const;
   [[nodiscard]] std::vector<double> stddevs() const;
 
-  void merge(const SeriesStat& other);
-
  private:
   std::vector<RunningStat> stats_;
 };

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/shard_scheduler.hpp"
+#include "exp/sweep_runner.hpp"
 
 namespace ncb {
 namespace {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/policy_registry.hpp"
-#include "exp/shard_scheduler.hpp"
+#include "exp/sweep_runner.hpp"
 #include "graph/generators.hpp"
 #include "sim/experiment.hpp"
 

@@ -522,6 +522,48 @@ TEST(ReplayPanel, RejectsBadInputsUpFront) {
                std::invalid_argument);
 }
 
+/// A spawning transport that fails the test if a worker is ever asked for.
+class NoWorkerTransport final : public net::StreamTransport {
+ public:
+  [[nodiscard]] bool can_spawn() const noexcept override { return true; }
+  [[nodiscard]] net::Peer spawn_peer() override {
+    ADD_FAILURE() << "run_distributed_panel started a worker";
+    throw std::runtime_error("spawn_peer called");
+  }
+  void release_peer(net::Peer&) override {}
+  [[nodiscard]] std::string describe() const override { return "no workers"; }
+};
+
+TEST(ReplayDispatch, RejectsBadInputsBeforeAnyWorker) {
+  TempDir tmp;
+  ServeSetup setup;
+  setup.horizon = 50;
+  const std::string path = tmp.file("serve.ncbl");
+  (void)drive_engine(setup, setup.policy_spec, path);
+  const serve::EventLogScan scan = serve::read_event_log(path);
+  ExperimentConfig config;
+  config.num_arms = setup.arms;
+  config.edge_probability = setup.edge_prob;
+  config.seed = setup.seed;
+  const Graph graph = build_graph(config);
+  replay::ReplayOptions options;
+  options.epsilon = setup.epsilon;
+  options.seed = setup.seed;
+  NoWorkerTransport transport;
+  replay::ReplayDispatchOptions dispatch;
+  dispatch.transport = &transport;
+  dispatch.graph_config = &config;
+
+  EXPECT_THROW((void)replay::run_distributed_panel(
+                   graph, scan, {"ucb1", "no-such-policy"}, options, dispatch),
+               std::invalid_argument);
+  replay::ReplayOptions bad_eps = options;
+  bad_eps.epsilon = 1.5;
+  EXPECT_THROW((void)replay::run_distributed_panel(graph, scan, {"ucb1"},
+                                                   bad_eps, dispatch),
+               std::invalid_argument);
+}
+
 TEST(ReplayEmitters, PanelDocumentShapeAndDeterminism) {
   exp::ReplayRecord record;
   record.policy = "ucb1";

@@ -42,6 +42,21 @@ TEST(Replication, CountsAndSeriesLengths) {
   EXPECT_DOUBLE_EQ(result.optimal_per_slot, inst.best_mean());
 }
 
+TEST(Replication, UnrecordedSeriesKeepOnlyFinalRegret) {
+  const auto inst = small_instance();
+  auto options = quick_options(4, 200);
+  const auto recorded = exp::run_sharded_single(sso_factory(), inst,
+                                                Scenario::kSso, options);
+  options.runner.record_series = false;
+  const auto result = exp::run_sharded_single(sso_factory(), inst,
+                                              Scenario::kSso, options);
+  EXPECT_EQ(result.replications, 4u);
+  EXPECT_EQ(result.per_slot_regret.length(), 0u);
+  EXPECT_EQ(result.cumulative_regret.length(), 0u);
+  EXPECT_EQ(result.final_cumulative.mean(), recorded.final_cumulative.mean());
+  EXPECT_EQ(result.final_cumulative.m2(), recorded.final_cumulative.m2());
+}
+
 TEST(Replication, DeterministicRegardlessOfThreads) {
   const auto inst = small_instance();
   const auto sequential = exp::run_sharded_single(
@@ -49,7 +64,7 @@ TEST(Replication, DeterministicRegardlessOfThreads) {
   ThreadPool pool(4);
   const auto parallel = exp::run_sharded_single(
       sso_factory(), inst, Scenario::kSso, quick_options(8, 300, &pool));
-  // Shards merge in shard-index order, so the pool cannot change a bit.
+  // Replications fold in global order, so the pool cannot change a bit.
   const auto a = sequential.cumulative_regret.means();
   const auto b = parallel.cumulative_regret.means();
   ASSERT_EQ(a.size(), b.size());

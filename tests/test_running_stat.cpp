@@ -113,27 +113,6 @@ TEST(SeriesStat, LengthMismatchThrows) {
   EXPECT_THROW(s.add_series({1.0}), std::invalid_argument);
 }
 
-TEST(SeriesStat, MergeMatchesCombined) {
-  SeriesStat a, b, all;
-  const std::vector<std::vector<double>> data{
-      {1, 2}, {3, 4}, {5, 6}, {7, 8}};
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    all.add_series(data[i]);
-    (i < 2 ? a : b).add_series(data[i]);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.means(), all.means());
-  EXPECT_EQ(a.stddevs(), all.stddevs());
-}
-
-TEST(SeriesStat, MergeIntoEmpty) {
-  SeriesStat a, b;
-  b.add_series({1.0, 2.0});
-  a.merge(b);
-  EXPECT_EQ(a.length(), 2u);
-  EXPECT_EQ(a.means(), (std::vector<double>{1.0, 2.0}));
-}
-
 TEST(SeriesStat, StddevPerIndex) {
   SeriesStat s;
   s.add_series({0.0});

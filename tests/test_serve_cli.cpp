@@ -207,6 +207,7 @@ TEST(ServeCliInspect, JsonBlockReportsJoinHealth) {
   EXPECT_NE(text.find("records=9 decisions=4 feedbacks=5 joined=3"),
             std::string::npos)
       << text;
+  EXPECT_NE(text.find("feedback: played arm only"), std::string::npos);
   EXPECT_NE(text.find("\"schema\": 1"), std::string::npos);
   EXPECT_NE(text.find("\"records\": 9"), std::string::npos);
   EXPECT_NE(text.find("\"decisions\": 4"), std::string::npos);

@@ -232,7 +232,8 @@ TEST(WelfordAggregation, RunningStatMergeMatchesTwoPassReference) {
   EXPECT_NEAR(seq.mean(), ref_mean, 1e-10 * std::abs(ref_mean));
   EXPECT_NEAR(seq.variance(), ref_var, 1e-9 * ref_var);
 
-  // Chunked merge (the shard→job reduction shape), several chunk sizes.
+  // Chunked merge (distributed replay's reduction shape), several chunk
+  // sizes.
   for (const std::size_t chunk : {1u, 3u, 64u, 300u}) {
     RunningStat merged;
     for (std::size_t at = 0; at < xs.size(); at += chunk) {
@@ -257,6 +258,7 @@ TEST(WelfordAggregation, JobAggregateMatchesTwoPassPerCheckpoint) {
     for (std::size_t c = 0; c < grid.size(); ++c) {
       sample.per_slot.push_back(rng.uniform());
       sample.cumulative.push_back(rng.uniform(0.0, 50.0));
+      sample.pseudo.push_back(rng.uniform());
     }
     sample.final_cumulative = sample.cumulative.back();
   }
@@ -265,11 +267,18 @@ TEST(WelfordAggregation, JobAggregateMatchesTwoPassPerCheckpoint) {
 
   ASSERT_EQ(agg.replications(), reps);
   for (std::size_t c = 0; c < grid.size(); ++c) {
-    std::vector<double> column;
-    for (const auto& sample : samples) column.push_back(sample.per_slot[c]);
+    std::vector<double> column, pseudo_column;
+    for (const auto& sample : samples) {
+      column.push_back(sample.per_slot[c]);
+      pseudo_column.push_back(sample.pseudo[c]);
+    }
     const auto [ref_mean, ref_var] = two_pass(column);
-    EXPECT_NEAR(agg.expected().at(c).mean(), ref_mean, 1e-12);
-    EXPECT_NEAR(agg.expected().at(c).variance(), ref_var, 1e-12);
+    EXPECT_NEAR(agg.per_slot_regret().at(c).mean(), ref_mean, 1e-12);
+    EXPECT_NEAR(agg.per_slot_regret().at(c).variance(), ref_var, 1e-12);
+    const auto [pseudo_mean, pseudo_var] = two_pass(pseudo_column);
+    EXPECT_NEAR(agg.per_slot_pseudo_regret().at(c).mean(), pseudo_mean, 1e-12);
+    EXPECT_NEAR(agg.per_slot_pseudo_regret().at(c).variance(), pseudo_var,
+                1e-12);
   }
 }
 
@@ -278,6 +287,7 @@ TEST(WelfordAggregation, RejectsMismatchedSample) {
   RepSample bad;
   bad.per_slot = {1.0};
   bad.cumulative = {1.0};
+  bad.pseudo = {1.0};
   EXPECT_THROW(agg.add_rep(bad), std::invalid_argument);
 }
 
@@ -432,6 +442,82 @@ TEST(ShardedReplication, RunSingleExperimentPoolInvariant) {
   EXPECT_EQ(sequential.final_cumulative.mean(), pooled.final_cumulative.mean());
   EXPECT_EQ(sequential.cumulative_regret.means(),
             pooled.cumulative_regret.means());
+}
+
+// The one fold: run_*_experiment (dense ReplicatedResult) and
+// run_sweep_job(job, 0, ...) reduce the same job through the same in-order
+// fold, so every mean and the final-regret Welford state agree bit for bit,
+// whatever the shard plan and whichever side has a pool.
+void expect_same_fold(const ReplicatedResult& experiment,
+                      const JobAggregate& sweep) {
+  ASSERT_EQ(experiment.replications, sweep.replications());
+  ASSERT_EQ(experiment.per_slot_regret.length(), sweep.grid().size());
+  const auto per_slot = sweep.per_slot_regret().means();
+  const auto cumulative = sweep.cumulative_regret().means();
+  const auto pseudo = sweep.per_slot_pseudo_regret().means();
+  EXPECT_EQ(experiment.per_slot_regret.means(), per_slot);
+  EXPECT_EQ(experiment.cumulative_regret.means(), cumulative);
+  EXPECT_EQ(experiment.expected_regret(), pseudo);
+  const RunningStat& a = experiment.final_cumulative;
+  const RunningStat& b = sweep.final_cumulative();
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());  // bitwise, not NEAR
+  EXPECT_EQ(a.m2(), b.m2());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(experiment.optimal_per_slot, sweep.optimal_per_slot());
+}
+
+TEST(OneFold, ExperimentAndSweepJobAgreeBitwise) {
+  ThreadPool pool(3);
+  // n = 150 runs as one shard, n = 2048 as 8-replication shards and
+  // n = 10^4 as one-replication shards.
+  for (const TimeSlot horizon : {TimeSlot{150}, TimeSlot{2048},
+                                 TimeSlot{10000}}) {
+    SweepJob job;
+    job.policy = "dfl-sso";
+    job.scenario = Scenario::kSso;
+    job.config.num_arms = 20;
+    job.config.edge_probability = 0.3;
+    job.config.horizon = horizon;
+    job.config.replications = 20;
+    SCOPED_TRACE(horizon);
+    const ReplicatedResult experiment =
+        run_single_experiment(job.config, job.policy, job.scenario, &pool);
+    const JobOutcome sweep = run_sweep_job(job, /*checkpoints=*/0, {});
+    expect_same_fold(experiment, sweep.aggregate);
+  }
+
+  SweepJob cso;
+  cso.policy = "dfl-cso";
+  cso.scenario = Scenario::kCso;
+  cso.config.num_arms = 6;
+  cso.config.edge_probability = 0.4;
+  cso.config.horizon = 2048;
+  cso.config.replications = 64;
+  cso.config.strategy_size = 2;
+  ASSERT_GT(plan_shards(cso.config.replications, cso.config.horizon)
+                .num_shards(),
+            1u);
+  const ReplicatedResult experiment = run_combinatorial_experiment(
+      cso.config, cso.policy, cso.scenario, nullptr);
+  SweepRunOptions pooled;
+  pooled.pool = &pool;
+  const JobOutcome sweep = run_sweep_job(cso, /*checkpoints=*/0, pooled);
+  expect_same_fold(experiment, sweep.aggregate);
+}
+
+TEST(OneFold, ExperimentRejectsTheOtherPlayMode) {
+  ExperimentConfig config;
+  config.num_arms = 4;
+  config.horizon = 10;
+  config.replications = 1;
+  EXPECT_THROW(
+      (void)run_single_experiment(config, "dfl-cso", Scenario::kCso),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_combinatorial_experiment(config, "dfl-sso", Scenario::kSso),
+      std::invalid_argument);
 }
 
 // ------------------------------------------------------------- emitters ---

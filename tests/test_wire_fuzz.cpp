@@ -1,13 +1,12 @@
 // Seeded fuzz loops over every decoder a peer or a log file can reach:
 // wire::FrameDecoder, every public decode_* (wire/frame, wire/serve_messages,
-// dist/protocol) and serve::scan_event_records. Each loop starts from valid
-// bytes — one frame of every MsgType, or a run of event-log records — and
-// applies seeded byte flips, truncations, extensions and overwritten length
-// words. Every call must either return or throw its documented
-// std::invalid_argument; anything else fails the test, and under the
-// sanitizer build (./ci.sh asan) so does any out-of-bounds access. The
-// replay payload codecs are file-local to replay/dispatch.cpp, so their
-// frames are fuzzed here at the framing layer only.
+// dist/protocol, replay/dispatch) and serve::scan_event_records. Each loop
+// starts from valid bytes — one frame of every MsgType, or a run of
+// event-log records — and applies seeded byte flips, truncations,
+// extensions and overwritten length words. Every call must either return
+// or throw its documented std::invalid_argument; anything else fails the
+// test, and under the sanitizer build (./ci.sh asan) so does any
+// out-of-bounds access.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "dist/protocol.hpp"
+#include "replay/dispatch.hpp"
 #include "serve/event_log.hpp"
 #include "wire/frame.hpp"
 #include "wire/serve_messages.hpp"
@@ -113,13 +113,18 @@ dist::JobAssignMsg seed_job_assign() {
   return msg;
 }
 
-/// Two event-log records as the log file stores them.
+/// Two event-log records: a decision and the feedback that joins it.
+std::vector<serve::EventRecord> seed_records() {
+  return {{serve::EventType::kDecision, 41, "user-7", 3, 0.25, 0.0},
+          {serve::EventType::kFeedback, 41, "", kNoArm, 0.0, 1.0}};
+}
+
+/// The seed records as the log file stores them.
 std::string seed_event_records() {
   std::string records;
-  serve::append_event_record(
-      records, {serve::EventType::kDecision, 41, "user-7", 3, 0.25, 0.0});
-  serve::append_event_record(
-      records, {serve::EventType::kFeedback, 41, "", kNoArm, 0.0, 1.0});
+  for (const serve::EventRecord& record : seed_records()) {
+    serve::append_event_record(records, record);
+  }
   return records;
 }
 
@@ -145,16 +150,29 @@ std::vector<Frame> seed_frames() {
   reply.propensity = 0.25;
   StatsReplyMsg stats;
   stats.entries = {{0, "serve.decide.requests", 10}, {1, "g", 5}};
-  // ReplayEvents as documented in replay/dispatch.cpp: u32 chunk index |
-  // u32 record count | that many event-log records. The other replay
-  // payloads are private to that file; any bytes frame validly.
-  WireWriter events;
-  events.put_u32(0);
-  events.put_u32(2);
-  WireWriter replay_other;
-  replay_other.put_string("ucb1");
-  replay_other.put_u64(1);
-  const std::string replay_payload = replay_other.take();
+  replay::ReplayInitMsg replay_init;
+  replay_init.epsilon = 0.1;
+  replay_init.seed = 7;
+  replay_init.horizon = 1000;
+  replay_init.family = "er";
+  replay_init.num_arms = 4;
+  replay_init.edge_probability = 0.3;
+  replay_init.arm_model = {0.25, 0.5, 0.75, 1.0};
+  replay_init.model_arm_average = 0.625;
+  replay_init.chunks = 1;
+  replay_init.total_records = 2;
+  const std::vector<std::string> replay_events =
+      replay::encode_event_chunks(seed_records());
+  replay::ReplayResultMsg replay_result;
+  replay_result.index = 1;
+  replay_result.summary.spec = "ucb1";
+  replay_result.summary.description = "UCB1";
+  replay_result.summary.decisions = 2;
+  replay_result.summary.matched = 1;
+  replay_result.summary.ips_stat.add(0.5);
+  replay_result.summary.ips_stat.add(1.5);
+  replay_result.summary.dr_stat.add(0.75);
+  replay_result.summary.weight_sum = 2.0;
 
   std::vector<Frame> frames = {
       {MsgType::kHello, encode_hello(hello)},
@@ -167,10 +185,10 @@ std::vector<Frame> seed_frames() {
       {MsgType::kDecideReply, encode_decide_reply(reply)},
       {MsgType::kFeedback, encode_feedback({41, 1.0})},
       {MsgType::kWorkerInfo, encode_worker_info({"host", 1234, 4})},
-      {MsgType::kReplayInit, replay_payload},
-      {MsgType::kReplayEvents, events.take() + seed_event_records()},
-      {MsgType::kReplayAssign, replay_payload},
-      {MsgType::kReplayResult, replay_payload},
+      {MsgType::kReplayInit, replay::encode_replay_init(replay_init)},
+      {MsgType::kReplayEvents, replay_events.at(0)},
+      {MsgType::kReplayAssign, replay::encode_replay_assign({1, 2, "ucb1"})},
+      {MsgType::kReplayResult, replay::encode_replay_result(replay_result)},
       {MsgType::kStatsRequest, ""},
       {MsgType::kStatsReply, encode_stats_reply(stats)},
   };
@@ -205,6 +223,16 @@ void decode_everything(const std::string& payload, Outcomes& outcomes,
                      [&] { (void)dist::decode_job_assign(payload); });
   returns_or_rejects(outcomes, iteration, "decode_job_result",
                      [&] { (void)dist::decode_job_result(payload); });
+  returns_or_rejects(outcomes, iteration, "decode_replay_init",
+                     [&] { (void)replay::decode_replay_init(payload); });
+  returns_or_rejects(outcomes, iteration, "decode_event_chunk", [&] {
+    std::vector<serve::EventRecord> records;
+    replay::decode_event_chunk(payload, 0, records);
+  });
+  returns_or_rejects(outcomes, iteration, "decode_replay_assign",
+                     [&] { (void)replay::decode_replay_assign(payload); });
+  returns_or_rejects(outcomes, iteration, "decode_replay_result",
+                     [&] { (void)replay::decode_replay_result(payload); });
 }
 
 TEST(WireFuzz, FrameDecoderReturnsFramesOrRejectsMutatedStreams) {
@@ -258,6 +286,26 @@ TEST(WireFuzz, PayloadDecodersReturnOrRejectMutatedPayloads) {
   }
   EXPECT_GT(outcomes.returned, 0u);
   EXPECT_GT(outcomes.rejected, 0u);
+}
+
+TEST(WireFuzz, ReplaySeedPayloadsDecode) {
+  // The replay seeds are real encodings, so the fuzz loops start from
+  // payloads each replay decoder accepts.
+  const std::vector<Frame> seeds = seed_frames();
+  const auto payload = [&](MsgType type) {
+    return seeds.at(static_cast<std::size_t>(type) - 1).payload;
+  };
+  EXPECT_EQ(replay::decode_replay_init(payload(MsgType::kReplayInit))
+                .arm_model.size(),
+            4u);
+  std::vector<serve::EventRecord> records;
+  replay::decode_event_chunk(payload(MsgType::kReplayEvents), 0, records);
+  EXPECT_EQ(records.size(), 2u);
+  EXPECT_EQ(replay::decode_replay_assign(payload(MsgType::kReplayAssign)).spec,
+            "ucb1");
+  EXPECT_EQ(replay::decode_replay_result(payload(MsgType::kReplayResult))
+                .summary.ips_stat.count(),
+            2u);
 }
 
 TEST(WireFuzz, EventRecordScanReturnsAPrefixOrRejects) {
